@@ -93,11 +93,10 @@ main()
               << model.numSpikingGemms() << " spiking GeMMs\n\n";
 
     SimulationEngine engine;
-    const std::vector<AcceleratorSpec> lineup = {
-        AcceleratorSpec("eyeriss"), AcceleratorSpec("ptb"),
-        AcceleratorSpec("prosperity")};
-    const std::vector<RunResult> results =
-        engine.runGrid(lineup, {workload}).front();
+    std::vector<SimulationJob> jobs;
+    for (const char* name : {"eyeriss", "ptb", "prosperity"})
+        jobs.push_back(SimulationJob{AcceleratorSpec(name), workload, {}});
+    const std::vector<RunResult> results = engine.runBatch(jobs);
 
     Table table("KWSNet/SpeechCommands end to end");
     table.setHeader({"accelerator", "latency (ms)", "GOP/s", "GOP/J",

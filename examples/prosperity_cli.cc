@@ -357,19 +357,20 @@ cmdModel(int argc, char** argv)
 int
 cmdRun(const Workload& workload, const std::string& accel_name, bool csv)
 {
-    std::vector<AcceleratorSpec> specs;
+    std::vector<SimulationJob> jobs;
     if (accel_name == "all") {
         for (const char* name : kLineup)
-            specs.emplace_back(name);
+            jobs.push_back(SimulationJob{AcceleratorSpec(name), workload, {}});
     } else if (AcceleratorRegistry::instance().contains(accel_name)) {
-        specs.emplace_back(accel_name);
+        jobs.push_back(
+            SimulationJob{AcceleratorSpec(accel_name), workload, {}});
     } else {
         std::cerr << "unknown accelerator: " << accel_name << '\n';
         return usage();
     }
 
     SimulationEngine engine;
-    const auto results = engine.runGrid(specs, {workload}).front();
+    const std::vector<RunResult> results = engine.runBatch(jobs);
     if (csv) {
         exportRunResults(std::cout, results);
         return 0;
@@ -597,7 +598,7 @@ cmdCampaign(int argc, char** argv)
     if (!quiet && !spec.description.empty())
         std::cout << spec.name << ": " << spec.description << '\n';
 
-    SimulationEngine engine(EngineOptions{threads, true});
+    SimulationEngine engine(EngineOptions{threads});
     std::shared_ptr<serve::ResultStore> store;
     if (!store_dir.empty()) {
         try {

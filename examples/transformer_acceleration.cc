@@ -28,19 +28,25 @@ main()
     const std::vector<AcceleratorSpec> specs = {
         AcceleratorSpec{"ptb"}, AcceleratorSpec{"a100"},
         AcceleratorSpec{"prosperity"}};
+    std::vector<SimulationJob> jobs;
+    for (const Workload& w : workloads)
+        for (const AcceleratorSpec& spec : specs)
+            jobs.push_back(SimulationJob{spec, w, {}});
     SimulationEngine engine;
-    const auto grid = engine.runGrid(specs, workloads);
+    const std::vector<RunResult> results = engine.runBatch(jobs);
 
     for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-        const Workload& w = workloads[wi];
-        const std::vector<RunResult>& results = grid[wi];
-
-        Table table("Spiking transformer inference: " + w.name());
+        Table table("Spiking transformer inference: " +
+                    workloads[wi].name());
         table.setHeader({"accelerator", "latency (ms)", "energy (mJ)",
                          "avg power (W)", "Prosperity speedup",
                          "Prosperity energy adv."});
-        const RunResult& pros = results.back();
-        for (const RunResult& r : results) {
+        // Jobs are workload-major, so this workload's row starts here
+        // and Prosperity is its last column.
+        const std::size_t row = wi * specs.size();
+        const RunResult& pros = results[row + specs.size() - 1];
+        for (std::size_t a = 0; a < specs.size(); ++a) {
+            const RunResult& r = results[row + a];
             table.addRow(
                 {r.accelerator, Table::num(r.seconds() * 1e3, 3),
                  Table::num(r.energy.totalPj() * 1e-9, 3),

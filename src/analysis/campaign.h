@@ -67,9 +67,8 @@ inline bool operator!=(const CampaignAccelerator& a,
  *
  * Expansion semantics (see expand()):
  * - **kCross** — every (option, workload, accelerator) combination,
- *   options outermost and accelerators innermost. With a single
- *   option set this is exactly SimulationEngine::runGrid's order: one
- *   row per workload, one column per accelerator.
+ *   options outermost and accelerators innermost: with a single
+ *   option set, one row per workload, one column per accelerator.
  * - **kZip** — axes advance together. Every axis must have length n
  *   or length 1 (length-1 axes broadcast); job i combines element i
  *   of each axis.
@@ -290,7 +289,7 @@ struct CampaignProgress
  * dispatched via SimulationEngine::submit, so they spread across the
  * engine's worker pool, reuse its memoization cache, and complete
  * with a progress callback per job — long campaigns stream status
- * instead of going dark. Results are bitwise identical to a runBatch
+ * instead of going dark. Results are bitwise identical to runWorkload
  * of the same jobs.
  */
 class CampaignRunner

@@ -1,8 +1,6 @@
 #include "engine.h"
 
-#include <atomic>
 #include <exception>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -56,7 +54,7 @@ engineMetrics()
             obs::latencyBuckets()),
         obs::MetricsRegistry::global().histogram(
             "prosperity_engine_simulate_seconds",
-            "Wall time of one simulation group (sum == busy seconds)",
+            "Wall time of one simulation (sum == busy seconds)",
             obs::latencyBuckets()),
         obs::MetricsRegistry::global().gauge(
             "prosperity_engine_queue_depth",
@@ -105,22 +103,19 @@ SimulationEngine::~SimulationEngine()
         worker.join();
 }
 
-namespace {
-
-/**
- * Canonical identity of the (workload, options) half of a job. Jobs
- * sharing it can be simulated as one runWorkloadOnAll group, so each
- * layer's spike matrix is generated once for the whole lineup.
- */
 std::string
-workloadKey(const SimulationJob& job)
+SimulationEngine::jobKey(const SimulationJob& job)
 {
-    // The workload name covers (model, dataset); the profile fields
-    // cover user-customized activation statistics on top of it.
+    // The registry resolves names case-insensitively; normalize so
+    // "PTB" and "ptb" dedupe and memoize as the same design. The
+    // workload name covers (model, dataset); the profile fields cover
+    // user-customized activation statistics on top of it.
     std::ostringstream os;
     os.precision(17);
     const ActivationProfile& p = job.workload.profile;
-    os << job.workload.name() << '|' << p.bit_density << ','
+    os << AcceleratorRegistry::canonicalName(job.accelerator.name) << '{'
+       << job.accelerator.params.fingerprint() << "}|"
+       << job.workload.name() << '|' << p.bit_density << ','
        << p.cluster_fraction << ',' << p.bank_size << ','
        << p.subset_drop_prob << ',' << p.temporal_repeat << ','
        << p.union_prob << ',' << p.noise_insert_prob << '|'
@@ -128,23 +123,10 @@ workloadKey(const SimulationJob& job)
     return os.str();
 }
 
-} // namespace
-
-std::string
-SimulationEngine::jobKey(const SimulationJob& job)
-{
-    // The registry resolves names case-insensitively; normalize so
-    // "PTB" and "ptb" dedupe and memoize as the same design.
-    return AcceleratorRegistry::canonicalName(job.accelerator.name) +
-           '{' +
-           job.accelerator.params.fingerprint() + '}' + '|' +
-           workloadKey(job);
-}
-
 RunResult
 SimulationEngine::run(const SimulationJob& job)
 {
-    return runBatch({job}).front();
+    return submit(job).get();
 }
 
 void
@@ -197,8 +179,7 @@ SimulationEngine::workerLoop()
                 std::shared_ptr<ResultCache> second_level;
                 {
                     util::MutexLock lock(mutex_);
-                    if (options_.memoize)
-                        second_level = second_level_;
+                    second_level = second_level_;
                 }
                 bool from_second_level = false;
                 if (second_level &&
@@ -232,13 +213,11 @@ SimulationEngine::workerLoop()
                         ++cache_hits_;
                     else
                         ++cache_misses_;
-                    if (options_.memoize) {
-                        cache_.emplace(task.key, result);
-                        const auto it = inflight_.find(task.key);
-                        if (it != inflight_.end()) {
-                            waiters = std::move(it->second);
-                            inflight_.erase(it);
-                        }
+                    cache_.emplace(task.key, result);
+                    const auto it = inflight_.find(task.key);
+                    if (it != inflight_.end()) {
+                        waiters = std::move(it->second);
+                        inflight_.erase(it);
                     }
                 }
                 if (!from_second_level && second_level)
@@ -274,24 +253,21 @@ SimulationEngine::submit(const SimulationJob& job)
     EngineMetrics& metrics = engineMetrics();
     {
         util::UniqueLock lock(mutex_);
-        if (options_.memoize) {
-            const auto cached = cache_.find(key);
-            if (cached != cache_.end()) {
-                ++cache_hits_;
-                metrics.jobs_memo_hit.add();
-                promise.set_value(cached->second);
-                return future;
-            }
-            const auto computing = inflight_.find(key);
-            if (computing != inflight_.end()) {
-                ++inflight_dedups_;
-                metrics.jobs_inflight_dedup.add();
-                computing->second.push_back(std::move(promise));
-                return future;
-            }
-            inflight_.emplace(key,
-                              std::vector<std::promise<RunResult>>{});
+        const auto cached = cache_.find(key);
+        if (cached != cache_.end()) {
+            ++cache_hits_;
+            metrics.jobs_memo_hit.add();
+            promise.set_value(cached->second);
+            return future;
         }
+        const auto computing = inflight_.find(key);
+        if (computing != inflight_.end()) {
+            ++inflight_dedups_;
+            metrics.jobs_inflight_dedup.add();
+            computing->second.push_back(std::move(promise));
+            return future;
+        }
+        inflight_.emplace(key, std::vector<std::promise<RunResult>>{});
         queue_.push_back(AsyncTask{job, std::move(key),
                                    std::move(promise),
                                    obs::monotonicNanos(),
@@ -313,207 +289,27 @@ SimulationEngine::runBatch(const std::vector<SimulationJob>& jobs)
         if (!registry.contains(job.accelerator.name))
             registry.create(job.accelerator.name); // throws with details
 
-    // Dedupe: one simulation per distinct key, in first-seen order.
-    // Cache hits are snapshotted here so a concurrent clearCache()
-    // cannot invalidate them before assembly.
-    constexpr std::size_t kCached = static_cast<std::size_t>(-1);
-    std::vector<std::string> keys(jobs.size());
-    std::map<std::string, std::size_t> unique_index;
-    std::map<std::string, RunResult> snapshot; // cache hits, this batch
-    std::set<std::string> store_keys; // snapshot entries the disk served
-    std::vector<const SimulationJob*> pending;  // jobs to simulate
-    std::vector<std::string> pending_keys;
-    std::shared_ptr<ResultCache> second_level;
-    if (options_.memoize) {
-        util::MutexLock lock(mutex_);
-        second_level = second_level_;
-    }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        keys[i] = jobKey(jobs[i]);
-        if (unique_index.count(keys[i]))
-            continue;
-        if (options_.memoize) {
-            util::MutexLock lock(mutex_);
-            const auto it = cache_.find(keys[i]);
-            if (it != cache_.end()) {
-                snapshot.emplace(keys[i], it->second);
-                unique_index.emplace(keys[i], kCached);
-                continue;
-            }
-        }
-        // Memory miss: the second-level cache (disk store) is next.
-        // Hits are promoted into the memory cache so later batches
-        // never touch the disk for this key again.
-        if (second_level) {
-            RunResult stored;
-            if (second_level->fetch(keys[i], &stored)) {
-                store_keys.insert(keys[i]);
-                {
-                    util::MutexLock lock(mutex_);
-                    cache_.emplace(keys[i], stored);
-                }
-                snapshot.emplace(keys[i], std::move(stored));
-                unique_index.emplace(keys[i], kCached);
-                continue;
-            }
-        }
-        unique_index.emplace(keys[i], pending.size());
-        pending.push_back(&jobs[i]);
-        pending_keys.push_back(keys[i]);
-    }
+    std::vector<std::future<RunResult>> futures;
+    futures.reserve(jobs.size());
+    for (const SimulationJob& job : jobs)
+        futures.push_back(submit(job));
 
-    // Group pending jobs that share a workload + options so each
-    // layer's spike matrix is generated once per group and fed to the
-    // whole lineup (the legacy runWorkloadOnAll optimization).
-    std::map<std::string, std::size_t> group_of;
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const std::string wkey = workloadKey(*pending[i]);
-        const auto [it, inserted] = group_of.emplace(wkey, groups.size());
-        if (inserted)
-            groups.emplace_back();
-        groups[it->second].push_back(i);
-    }
-
-    // While workers would otherwise idle, split the largest group in
-    // half (each half keeps shared generation): a single-workload
-    // lineup still spreads across cores. The split rule is a pure
-    // function of the group sizes, so it cannot affect results.
-    while (!groups.empty() && groups.size() < options_.threads) {
-        std::size_t largest = 0;
-        for (std::size_t g = 1; g < groups.size(); ++g)
-            if (groups[g].size() > groups[largest].size())
-                largest = g;
-        if (groups[largest].size() <= 1)
-            break;
-        // Detach the tail before touching `groups`: emplace_back may
-        // reallocate and would invalidate any reference into it.
-        const std::size_t half = groups[largest].size() / 2;
-        std::vector<std::size_t> tail(
-            groups[largest].end() - static_cast<std::ptrdiff_t>(half),
-            groups[largest].end());
-        groups[largest].resize(groups[largest].size() - half);
-        groups.push_back(std::move(tail));
-    }
-
-    // Simulate group by group across the pool. Each worker claims the
-    // next un-started group and writes to its jobs' own slots, so the
-    // computed values cannot depend on scheduling. The caller's trace
-    // context is captured here and re-installed inside each pool
-    // thread so per-group simulate spans join the caller's trace.
-    const obs::TraceContext trace_context = obs::currentTraceContext();
-    std::vector<RunResult> computed(pending.size());
-    auto simulate = [&](std::size_t group_idx) {
-        obs::ScopedTraceContext trace_scope(trace_context);
-        obs::ScopedSpan group_span("engine", "simulate");
-        const std::vector<std::size_t>& group = groups[group_idx];
-        std::vector<std::unique_ptr<Accelerator>> owned;
-        std::vector<Accelerator*> lineup;
-        owned.reserve(group.size());
-        lineup.reserve(group.size());
-        for (const std::size_t idx : group) {
-            const SimulationJob& job = *pending[idx];
-            owned.push_back(registry.create(job.accelerator.name,
-                                            job.accelerator.params));
-            lineup.push_back(owned.back().get());
-        }
-        const SimulationJob& lead = *pending[group.front()];
-        if (group_span.active())
-            group_span.setDetail(lead.workload.name() + " x" +
-                                 std::to_string(group.size()));
-        EngineMetrics& metrics = engineMetrics();
-        obs::GaugeGuard busy(metrics.in_flight);
-        const std::uint64_t start_ns = obs::monotonicNanos();
-        std::vector<RunResult> results =
-            runWorkloadOnAll(lineup, lead.workload, lead.options);
-        metrics.simulate_seconds.observe(
-            obs::elapsedSeconds(start_ns, obs::monotonicNanos()));
-        metrics.jobs_simulated.add(group.size());
-        for (std::size_t k = 0; k < group.size(); ++k)
-            computed[group[k]] = std::move(results[k]);
-    };
-
-    const std::size_t workers = std::min(options_.threads, groups.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            simulate(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr first_error;
-        util::Mutex error_mutex;
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                for (;;) {
-                    const std::size_t idx =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (idx >= groups.size())
-                        return;
-                    try {
-                        simulate(idx);
-                    } catch (...) {
-                        util::MutexLock lock(error_mutex);
-                        if (!first_error)
-                            first_error = std::current_exception();
-                    }
-                }
-            });
-        }
-        for (std::thread& t : pool)
-            t.join();
-        if (first_error)
-            std::rethrow_exception(first_error);
-    }
-
-    // Publish new results, then assemble in job order.
-    if (second_level)
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            second_level->publish(pending_keys[i], computed[i]);
-    std::vector<RunResult> results(jobs.size());
-    {
-        util::MutexLock lock(mutex_);
-        cache_misses_ += pending.size();
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            if (options_.memoize)
-                cache_.emplace(pending_keys[i], computed[i]);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const std::size_t slot = unique_index.at(keys[i]);
-            if (slot == kCached) {
-                results[i] = snapshot.at(keys[i]);
-                ++cache_hits_;
-                if (store_keys.count(keys[i]))
-                    engineMetrics().jobs_store_hit.add();
-                else
-                    engineMetrics().jobs_memo_hit.add();
-            } else {
-                results[i] = computed[slot];
-            }
+    // Wait for every job before reporting a failure, so a throwing
+    // batch leaves none of its jobs still running.
+    std::vector<RunResult> results;
+    results.reserve(jobs.size());
+    std::exception_ptr first_error;
+    for (std::future<RunResult>& future : futures) {
+        try {
+            results.push_back(future.get());
+        } catch (...) {
+            if (!first_error)
+                first_error = std::current_exception();
         }
     }
+    if (first_error)
+        std::rethrow_exception(first_error);
     return results;
-}
-
-std::vector<std::vector<RunResult>>
-SimulationEngine::runGrid(const std::vector<AcceleratorSpec>& accelerators,
-                          const std::vector<Workload>& workloads,
-                          const RunOptions& options)
-{
-    std::vector<SimulationJob> jobs;
-    jobs.reserve(accelerators.size() * workloads.size());
-    for (const Workload& workload : workloads)
-        for (const AcceleratorSpec& spec : accelerators)
-            jobs.push_back(SimulationJob{spec, workload, options});
-
-    const std::vector<RunResult> flat = runBatch(jobs);
-    std::vector<std::vector<RunResult>> grid(workloads.size());
-    for (std::size_t w = 0; w < workloads.size(); ++w)
-        grid[w].assign(
-            flat.begin() + static_cast<std::ptrdiff_t>(
-                               w * accelerators.size()),
-            flat.begin() + static_cast<std::ptrdiff_t>(
-                               (w + 1) * accelerators.size()));
-    return grid;
 }
 
 std::size_t

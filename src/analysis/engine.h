@@ -4,14 +4,12 @@
  * first-class operation.
  *
  * A SimulationJob names an accelerator (registry name + params) and a
- * workload; the engine executes batches of jobs across a std::thread
+ * workload; the engine executes each job on a persistent std::thread
  * pool and memoizes per-(accelerator config, workload, options)
- * results. Jobs sharing a (workload, options) pair are grouped so each
- * layer's spike matrix is generated once for the whole lineup. Because
- * every job builds its own accelerator through the AcceleratorRegistry
- * and the layer API returns results by value, jobs share no mutable
- * state — results are bitwise identical whatever the thread count, and
- * batch order in equals result order out.
+ * results. Because every job builds its own accelerator through the
+ * AcceleratorRegistry and the layer API returns results by value, jobs
+ * share no mutable state — results are bitwise identical whatever the
+ * thread count, and batch order in equals result order out.
  *
  * The Fig. 8 / Fig. 9 / Table IV benches and the CLI are thin loops
  * over this engine.
@@ -69,22 +67,10 @@ struct SimulationJob
 /** Engine configuration. */
 struct EngineOptions
 {
-    /** Worker threads for batch runs; 0 = hardware concurrency. */
+    /** Worker-pool size; 0 = hardware concurrency. */
     std::size_t threads = 0;
-
-    /** Cache results keyed by (accelerator spec, workload, options). */
-    bool memoize = true;
 };
 
-/**
- * Pluggable second-level result cache behind the in-memory memo cache
- * (implemented by serve::ResultStore for on-disk persistence). The
- * engine consults it only after a memory miss and publishes every
- * freshly simulated result to it. Implementations must be thread-safe:
- * the engine calls from its worker threads concurrently. fetch() must
- * treat any unreadable entry as a miss — a second-level cache failure
- * must degrade to recomputation, never to an engine error.
- */
 /**
  * Defect counters of a second-level ResultCache: entries it declined
  * to trust, by failure class. All three are misses from the engine's
@@ -100,6 +86,15 @@ struct ResultCacheHealth
     std::size_t version_mismatch = 0; ///< schema_version != current
 };
 
+/**
+ * Pluggable second-level result cache behind the in-memory memo cache
+ * (implemented by serve::ResultStore for on-disk persistence). The
+ * engine consults it only after a memory miss and publishes every
+ * freshly simulated result to it. Implementations must be thread-safe:
+ * the engine calls from its worker threads concurrently. fetch() must
+ * treat any unreadable entry as a miss — a second-level cache failure
+ * must degrade to recomputation, never to an engine error.
+ */
 class ResultCache
 {
   public:
@@ -144,9 +139,11 @@ struct EngineStats
 };
 
 /**
- * Executes batches of simulation jobs in parallel with deterministic
- * result ordering and cross-batch memoization. Thread-safe: a single
- * engine may be shared, and its cache persists across runBatch calls.
+ * Executes simulation jobs in parallel with deterministic results and
+ * memoization. Every job — from submit(), run() or runBatch() — takes
+ * the same path: the memo cache, then the in-flight table, then the
+ * worker pool. Thread-safe: a single engine may be shared, and its
+ * cache persists across calls.
  *
  * @par Memoization key
  * Results are cached under the canonical string
@@ -160,9 +157,9 @@ struct EngineStats
  * @par Thread-count independence
  * Every job constructs its own Accelerator through the registry and
  * spike generation draws from per-(seed, layer) streams, so no mutable
- * state is shared between workers. runBatch(jobs) therefore returns
- * bitwise-identical results for any EngineOptions::threads value,
- * including 1 — pinned by tests/test_engine.cc.
+ * state is shared between workers. Every job's result is therefore
+ * bitwise identical to runWorkload() on a registry-built accelerator,
+ * for any EngineOptions::threads value — pinned by tests/test_engine.cc.
  */
 class SimulationEngine
 {
@@ -170,7 +167,7 @@ class SimulationEngine
     explicit SimulationEngine(EngineOptions options = {});
 
     /**
-     * Joins the async worker pool. Tasks already submitted are
+     * Joins the worker pool. Tasks already submitted are
      * finished first (their futures stay valid); destroying the
      * engine never breaks an outstanding promise.
      */
@@ -179,7 +176,7 @@ class SimulationEngine
     SimulationEngine(const SimulationEngine&) = delete;
     SimulationEngine& operator=(const SimulationEngine&) = delete;
 
-    /** Run a single job (memoized like any batch member). */
+    /** Run a single job: submit(job).get(). */
     RunResult run(const SimulationJob& job);
 
     /**
@@ -187,14 +184,11 @@ class SimulationEngine
      * persistent worker pool (EngineOptions::threads workers, started
      * lazily) and return a future for its result.
      *
-     * The async path shares the runBatch cache: a submit whose key is
-     * already cached returns an immediately-ready future and counts as
-     * a cache hit, a submit whose key is currently being computed by
-     * an earlier submit piggybacks on that computation (simulated
-     * once, not counted as a hit — same rule as duplicate jobs inside
-     * one batch), and freshly computed results are published for later
-     * run/runBatch/submit calls. Results are bitwise identical to
-     * runBatch of the same job (pinned in tests/test_engine.cc).
+     * A submit whose key is already cached returns an
+     * immediately-ready future and counts as a cache hit; a submit
+     * whose key is currently being computed by an earlier submit
+     * piggybacks on that computation (simulated once, not counted as a
+     * hit); freshly computed results are cached for later calls.
      *
      * Errors — unknown accelerator names, bad parameters — surface
      * from future::get(), not from submit() itself.
@@ -202,21 +196,13 @@ class SimulationEngine
     std::future<RunResult> submit(const SimulationJob& job);
 
     /**
-     * Run all jobs, using up to EngineOptions::threads workers.
-     * results[i] always corresponds to jobs[i]; duplicate jobs are
-     * simulated once. Throws std::invalid_argument before starting any
-     * work if a job names an unregistered accelerator.
+     * Submit every job and wait for all of them. results[i] always
+     * corresponds to jobs[i]; duplicate jobs are simulated once.
+     * Throws std::invalid_argument before submitting anything if a job
+     * names an unregistered accelerator; any other job error is
+     * rethrown (the first in job order) once every job has finished.
      */
     std::vector<RunResult> runBatch(const std::vector<SimulationJob>& jobs);
-
-    /**
-     * Cross-product convenience: returns one row per workload, one
-     * column per accelerator spec, all simulated as a single batch.
-     */
-    std::vector<std::vector<RunResult>> runGrid(
-        const std::vector<AcceleratorSpec>& accelerators,
-        const std::vector<Workload>& workloads,
-        const RunOptions& options = {});
 
     /** Number of memoized results currently held. */
     std::size_t cacheSize() const;
@@ -230,7 +216,7 @@ class SimulationEngine
     /** Configured worker-pool size (resolved, never 0). */
     std::size_t threads() const { return options_.threads; }
 
-    /** Async tasks enqueued but not yet claimed by a worker. */
+    /** Tasks enqueued but not yet claimed by a worker. */
     std::size_t queueDepth() const;
 
     /**
@@ -277,7 +263,7 @@ class SimulationEngine
     std::size_t inflight_dedups_ GUARDED_BY(mutex_) = 0;
     std::shared_ptr<ResultCache> second_level_ GUARDED_BY(mutex_);
 
-    // Async submission state.
+    // Submission state.
     std::deque<AsyncTask> queue_ GUARDED_BY(mutex_);
     /** Keys being computed by a worker -> promises of piggybacked
      *  submits waiting for that computation. */

@@ -1,6 +1,5 @@
 #include "runner.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gen/spike_generator.h"
@@ -33,28 +32,6 @@ generateLayerSpikes(const SpikeGenerator& gen, const LayerSpec& layer,
         return SpikeGenerator(*layer.profile_override, seed)
             .generateLayer(layer, layer_index);
     return gen.generateLayer(layer, layer_index);
-}
-
-/** Run one layer on one accelerator and fold it into `result`. */
-void
-accumulateLayer(Accelerator& accel, const LayerSpec& layer,
-                const BitMatrix* spikes, const RunOptions& options,
-                RunResult& result)
-{
-    // One child span per layer; Accelerator::runLayer adds per-stage
-    // grandchildren. Free when the thread is not being traced.
-    obs::ScopedSpan span("layer", layer.name);
-    if (span.active())
-        span.setDetail(accel.name());
-    const LayerRequest request = layerRequestFor(layer, spikes);
-    const LayerResult lr = accel.runLayer(request);
-    result.cycles += lr.cycles;
-    result.dense_macs += lr.dense_macs;
-    result.dram_bytes += lr.dram_bytes;
-    result.energy.merge(lr.energy);
-    if (options.keep_layer_records)
-        result.layers.push_back(
-            LayerRunRecord{layer.name, lr.cycles, layer.denseOps()});
 }
 
 } // namespace
@@ -102,81 +79,24 @@ runWorkload(Accelerator& accel, const Workload& workload,
             spikes = generateLayerSpikes(gen, layer, layer_index,
                                          options.seed);
         }
-        accumulateLayer(accel, layer, is_spiking ? &spikes : nullptr,
-                        options, result);
+
+        // One child span per layer; Accelerator::runLayer adds
+        // per-stage grandchildren. Free when the thread is not being
+        // traced.
+        obs::ScopedSpan span("layer", layer.name);
+        if (span.active())
+            span.setDetail(accel.name());
+        const LayerResult lr = accel.runLayer(
+            layerRequestFor(layer, is_spiking ? &spikes : nullptr));
+        result.cycles += lr.cycles;
+        result.dense_macs += lr.dense_macs;
+        result.dram_bytes += lr.dram_bytes;
+        result.energy.merge(lr.energy);
+        if (options.keep_layer_records)
+            result.layers.push_back(
+                LayerRunRecord{layer.name, lr.cycles, layer.denseOps()});
     }
     return result;
-}
-
-std::vector<RunResult>
-runWorkloadOnAll(const std::vector<Accelerator*>& accels,
-                 const Workload& workload, const RunOptions& options)
-{
-    const ModelSpec model = workload.buildModel();
-    const SpikeGenerator gen(workload.profile, options.seed);
-
-    std::vector<RunResult> results(accels.size());
-    const ModelHints hints = hintsFor(model);
-    for (std::size_t a = 0; a < accels.size(); ++a) {
-        results[a].accelerator = accels[a]->name();
-        results[a].workload = workload.name();
-        results[a].tech = accels[a]->tech();
-        accels[a]->beginModel(hints);
-    }
-
-    std::size_t layer_index = 0;
-    for (const auto& layer : model.layers) {
-        ++layer_index;
-        BitMatrix spikes;
-        const bool is_spiking = layer.isSpikingGemm();
-        if (is_spiking) {
-            obs::ScopedSpan span("spikegen", layer.name);
-            spikes = generateLayerSpikes(gen, layer, layer_index,
-                                         options.seed);
-        }
-
-        for (std::size_t a = 0; a < accels.size(); ++a)
-            accumulateLayer(*accels[a], layer,
-                            is_spiking ? &spikes : nullptr, options,
-                            results[a]);
-    }
-    return results;
-}
-
-AveragedRunResult
-runWorkloadAveraged(Accelerator& accel, const Workload& workload,
-                    std::size_t samples, const RunOptions& options)
-{
-    PROSPERITY_ASSERT(samples > 0, "need at least one sample");
-    AveragedRunResult out;
-    double min_cycles = 0.0, max_cycles = 0.0;
-    for (std::size_t i = 0; i < samples; ++i) {
-        RunOptions per_sample = options;
-        per_sample.seed = options.seed + i;
-        const RunResult r = runWorkload(accel, workload, per_sample);
-        if (i == 0) {
-            out.mean = r;
-            min_cycles = max_cycles = r.cycles;
-        } else {
-            out.mean.cycles += r.cycles;
-            out.mean.dram_bytes += r.dram_bytes;
-            out.mean.energy.merge(r.energy);
-            min_cycles = std::min(min_cycles, r.cycles);
-            max_cycles = std::max(max_cycles, r.cycles);
-        }
-    }
-    const double n = static_cast<double>(samples);
-    out.mean.cycles /= n;
-    out.mean.dram_bytes /= n;
-    // Scale merged energy back to a single inference.
-    EnergyModel scaled;
-    for (const auto& [component, pj] : out.mean.energy.breakdown())
-        scaled.charge(component, pj / n, 1.0);
-    out.mean.energy = scaled;
-    out.cycles_rel_spread =
-        out.mean.cycles > 0.0 ? (max_cycles - min_cycles) / out.mean.cycles
-                              : 0.0;
-    return out;
 }
 
 double

@@ -98,32 +98,6 @@ LayerRequest layerRequestFor(const LayerSpec& layer,
 RunResult runWorkload(Accelerator& accel, const Workload& workload,
                       const RunOptions& options = {});
 
-/**
- * Run one workload on several accelerators, generating each layer's
- * spike matrix once and feeding it to all of them — identical results
- * to per-accelerator runWorkload calls, much less generation time.
- */
-std::vector<RunResult> runWorkloadOnAll(
-    const std::vector<Accelerator*>& accels, const Workload& workload,
-    const RunOptions& options = {});
-
-/**
- * Dataset-style averaging: run `samples` independent activation draws
- * (seeds options.seed, options.seed+1, ...) and return the mean-cycles
- * result with merged energy (scaled back to one inference), plus the
- * relative spread. Mirrors the paper's methodology of averaging the
- * A100/end-to-end measurements over the whole dataset.
- */
-struct AveragedRunResult
-{
-    RunResult mean;              ///< cycles/energy averaged per sample
-    double cycles_rel_spread = 0.0; ///< (max - min) / mean cycles
-};
-AveragedRunResult runWorkloadAveraged(Accelerator& accel,
-                                      const Workload& workload,
-                                      std::size_t samples,
-                                      const RunOptions& options = {});
-
 /** Geometric mean helper for the Fig. 8 summary columns. */
 double geometricMean(const std::vector<double>& values);
 

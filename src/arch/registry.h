@@ -9,7 +9,7 @@
  * AcceleratorParams key/value bag for per-design knobs (Prosperity's
  * ablation modes, PTB's time steps, LoAS's weight density), so whole
  * design-space points are expressible as plain strings — the currency
- * the SimulationEngine batches and memoizes on.
+ * the SimulationEngine runs and memoizes on.
  *
  * Registration code lives next to each design (see the
  * register*Accelerator hooks below): a design owns its name, its

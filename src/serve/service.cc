@@ -183,7 +183,7 @@ SimulationService::SimulationService(ServiceOptions options)
       store_(options.store_dir.empty()
                  ? nullptr
                  : std::make_shared<ResultStore>(options.store_dir)),
-      engine_(EngineOptions{options.threads, true})
+      engine_(EngineOptions{options.threads})
 {
     if (store_)
         engine_.setResultCache(store_);

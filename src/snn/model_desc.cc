@@ -170,18 +170,25 @@ profileFromJson(const json::Value& value, ActivationProfile profile,
             continue;
         }
         const double number = requireNumberValue(v, field_context);
-        if (key == "bit_density")
+        // The two ranges SpikeGenerator asserts: reject them here so a
+        // bad spec is a parse error, not a process abort mid-run.
+        if (key == "bit_density") {
+            if (!(number > 0.0 && number < 1.0))
+                schemaError(field_context, "must lie in (0, 1)");
             profile.bit_density = number;
-        else if (key == "cluster_fraction")
+        } else if (key == "cluster_fraction") {
+            if (!(number >= 0.0 && number <= 1.0))
+                schemaError(field_context, "must lie in [0, 1]");
             profile.cluster_fraction = number;
-        else if (key == "subset_drop_prob")
+        } else if (key == "subset_drop_prob") {
             profile.subset_drop_prob = number;
-        else if (key == "temporal_repeat")
+        } else if (key == "temporal_repeat") {
             profile.temporal_repeat = number;
-        else if (key == "union_prob")
+        } else if (key == "union_prob") {
             profile.union_prob = number;
-        else if (key == "noise_insert_prob")
+        } else if (key == "noise_insert_prob") {
             profile.noise_insert_prob = number;
+        }
     }
     return profile;
 }

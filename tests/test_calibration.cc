@@ -28,17 +28,17 @@ class TableIv : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        static EyerissAccelerator eyeriss;
-        static SatoAccelerator sato;
-        static PtbAccelerator ptb;
-        static MintAccelerator mint;
-        static StellarAccelerator stellar;
-        static ProsperityAccelerator prosperity;
-        const std::vector<Accelerator*> accels = {
-            &eyeriss, &sato, &ptb, &mint, &stellar, &prosperity};
-        results_ = new std::vector<RunResult>(runWorkloadOnAll(
-            accels,
-            makeWorkload("VGG16", "CIFAR100")));
+        const Workload w = makeWorkload("VGG16", "CIFAR100");
+        EyerissAccelerator eyeriss;
+        SatoAccelerator sato;
+        PtbAccelerator ptb;
+        MintAccelerator mint;
+        StellarAccelerator stellar;
+        ProsperityAccelerator prosperity;
+        results_ = new std::vector<RunResult>{
+            runWorkload(eyeriss, w), runWorkload(sato, w),
+            runWorkload(ptb, w),     runWorkload(mint, w),
+            runWorkload(stellar, w), runWorkload(prosperity, w)};
     }
 
     static void

@@ -5,14 +5,15 @@
  * (parse(serialize(spec)) == spec); actionable errors for malformed
  * specs; and the redesign's compatibility pin — campaigns/fig8.json
  * expands to exactly the job list the pre-redesign bench built by
- * hand, and CampaignRunner's results are bitwise identical to
- * SimulationEngine::runGrid over the same axes.
+ * hand, and CampaignRunner's results are bitwise identical to the
+ * serial runWorkload reference over the same axes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -60,8 +61,8 @@ TEST(CampaignSpec, CrossExpansionIsDeterministicAndGridOrdered)
     spec.options = {RunOptions{}, seeded};
 
     const auto expansion = spec.expand();
-    // options outermost, workloads, then accelerators — runGrid order
-    // within each option set.
+    // options outermost, workloads, then accelerators — one row per
+    // workload, one column per accelerator within each option set.
     ASSERT_EQ(expansion.jobs.size(), 8u);
     ASSERT_EQ(expansion.cells.size(), 8u);
     std::size_t i = 0;
@@ -351,6 +352,17 @@ TEST(CampaignSpec, MalformedSpecsProduceActionableErrors)
                     "accelerators": [{"name": "eyeriss"}],
                     "workloads": [{"suite": "fig8"}]})",
                 "baseline \"tpu\"");
+    // Profiles SpikeGenerator would reject mid-run fail at parse time.
+    expectError(R"({"name": "x",
+                    "accelerators": [{"name": "eyeriss"}],
+                    "workloads": [{"model": "LeNet5", "dataset": "MNIST",
+                                   "profile": {"bit_density": 1.5}}]})",
+                "workloads[0].profile.bit_density: must lie in (0, 1)");
+    expectError(R"({"name": "x",
+                    "accelerators": [{"name": "eyeriss"}],
+                    "workloads": [{"model": "LeNet5", "dataset": "MNIST",
+                                   "profile": {"cluster_fraction": -0.1}}]})",
+                "profile.cluster_fraction: must lie in [0, 1]");
 
     // File-level errors mention the path.
     try {
@@ -364,7 +376,7 @@ TEST(CampaignSpec, MalformedSpecsProduceActionableErrors)
 
 /** The pre-redesign bench_fig8_endtoend hand-built this exact job
  *  list: the seven-design lineup (Fig. 8 column order) crossed with
- *  fig8Suite() in SimulationEngine::runGrid order. The checked-in
+ *  fig8Suite(), workload-major. The checked-in
  *  spec must expand to it verbatim. */
 TEST(CampaignSpec, Fig8SpecExpandsToTheLegacyJobList)
 {
@@ -388,24 +400,15 @@ TEST(CampaignSpec, Fig8SpecExpandsToTheLegacyJobList)
             << "job " << i;
 }
 
-/** CampaignRunner (async submit path) == runGrid (batch path),
- *  bitwise, over a slice of the real fig8 campaign. Together with
- *  Fig8SpecExpandsToTheLegacyJobList this pins that
- *  `prosperity_cli campaign campaigns/fig8.json` reproduces the
+/** CampaignRunner == the serial runWorkload reference on a
+ *  registry-built accelerator, bitwise, over a slice of the real fig8
+ *  campaign. Together with Fig8SpecExpandsToTheLegacyJobList this pins
+ *  that `prosperity_cli campaign campaigns/fig8.json` reproduces the
  *  pre-redesign bench's RunResult numbers. */
-TEST(CampaignRunner, MatchesRunGridBitwiseOnAFig8Slice)
+TEST(CampaignRunner, MatchesSerialReferenceBitwiseOnAFig8Slice)
 {
     CampaignSpec spec = loadNamedCampaign("fig8");
     spec.workloads.resize(2); // VGG16/CIFAR10, VGG16/CIFAR100
-
-    std::vector<AcceleratorSpec> accels;
-    for (const CampaignAccelerator& a : spec.accelerators)
-        accels.push_back(a.spec);
-
-    EngineOptions no_memo;
-    no_memo.memoize = false;
-    SimulationEngine grid_engine(no_memo);
-    const auto grid = grid_engine.runGrid(accels, spec.workloads);
 
     SimulationEngine engine;
     CampaignRunner runner(engine);
@@ -413,9 +416,16 @@ TEST(CampaignRunner, MatchesRunGridBitwiseOnAFig8Slice)
 
     ASSERT_EQ(report.cells.size(),
               spec.workloads.size() * spec.accelerators.size());
-    for (const CampaignCell& cell : report.cells)
-        expectIdentical(cell.result,
-                        grid[cell.workload_index][cell.accelerator_index]);
+    for (const CampaignCell& cell : report.cells) {
+        const AcceleratorSpec& accel =
+            spec.accelerators[cell.accelerator_index].spec;
+        const std::unique_ptr<Accelerator> direct =
+            AcceleratorRegistry::instance().create(accel.name,
+                                                   accel.params);
+        expectIdentical(
+            cell.result,
+            runWorkload(*direct, spec.workloads[cell.workload_index]));
+    }
 }
 
 TEST(CampaignRunner, StreamsProgressInJobOrder)

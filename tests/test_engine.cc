@@ -1,19 +1,22 @@
 /**
  * @file
- * Tests for the SimulationEngine: multi-threaded batch runs are
- * bitwise-identical to single-threaded ones over the full
- * model x accelerator grid, result order matches job order,
- * memoization works, and ModelHints reach time-batching designs
- * exactly as on the legacy runner path.
+ * Tests for the SimulationEngine: runBatch and submit are
+ * bitwise-identical to the serial runWorkload reference over the full
+ * model x accelerator grid at 1 and 4 threads, result order matches
+ * job order, memoization and in-flight dedup work, and ModelHints
+ * reach time-batching designs exactly as on the legacy runner path.
  */
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/engine.h"
+#include "baselines/eyeriss.h"
 #include "baselines/ptb.h"
 #include "gen/spike_generator.h"
 
@@ -36,11 +39,35 @@ fullLineup()
     return specs;
 }
 
-std::vector<Workload>
-gridWorkloads()
+/** Full lineup x {LeNet5, SpikingBERT}, workload-major. */
+std::vector<SimulationJob>
+gridJobs()
 {
-    return {makeWorkload("LeNet5", "MNIST"),
-            makeWorkload("SpikingBERT", "SST-2")};
+    std::vector<SimulationJob> jobs;
+    for (const Workload& w : {makeWorkload("LeNet5", "MNIST"),
+                              makeWorkload("SpikingBERT", "SST-2")})
+        for (const AcceleratorSpec& spec : fullLineup())
+            jobs.push_back(SimulationJob{spec, w, {}});
+    return jobs;
+}
+
+/** The serial reference: runWorkload on a registry-built accelerator,
+ *  no engine involved. Computed once per process. */
+const std::vector<RunResult>&
+serialReference()
+{
+    static const std::vector<RunResult> reference = [] {
+        std::vector<RunResult> results;
+        for (const SimulationJob& job : gridJobs()) {
+            const std::unique_ptr<Accelerator> accel =
+                AcceleratorRegistry::instance().create(
+                    job.accelerator.name, job.accelerator.params);
+            results.push_back(
+                runWorkload(*accel, job.workload, job.options));
+        }
+        return results;
+    }();
+    return reference;
 }
 
 void
@@ -58,29 +85,19 @@ expectIdentical(const RunResult& a, const RunResult& b)
         EXPECT_EQ(pj, b.energy.componentPj(component)) << component;
 }
 
-TEST(Engine, ParallelBatchMatchesSingleThreadedBitwise)
+TEST(Engine, ParallelBatchMatchesSerialReferenceBitwise)
 {
-    const auto specs = fullLineup();
-    const auto workloads = gridWorkloads();
-
-    EngineOptions serial;
-    serial.threads = 1;
-    serial.memoize = false;
-    EngineOptions parallel;
-    parallel.threads = 4;
-    parallel.memoize = false;
-
-    SimulationEngine engine1(serial);
-    SimulationEngine engine4(parallel);
-    const auto grid1 = engine1.runGrid(specs, workloads);
-    const auto grid4 = engine4.runGrid(specs, workloads);
-
-    ASSERT_EQ(grid1.size(), workloads.size());
-    ASSERT_EQ(grid4.size(), workloads.size());
-    for (std::size_t w = 0; w < grid1.size(); ++w) {
-        ASSERT_EQ(grid1[w].size(), specs.size());
-        for (std::size_t a = 0; a < grid1[w].size(); ++a)
-            expectIdentical(grid1[w][a], grid4[w][a]);
+    const std::vector<SimulationJob> jobs = gridJobs();
+    const std::vector<RunResult>& reference = serialReference();
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EngineOptions options;
+        options.threads = threads;
+        SimulationEngine engine(options);
+        const std::vector<RunResult> results = engine.runBatch(jobs);
+        ASSERT_EQ(results.size(), reference.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            expectIdentical(results[i], reference[i]);
     }
 }
 
@@ -144,10 +161,47 @@ TEST(Engine, UnknownAcceleratorFailsFast)
                  std::invalid_argument);
 }
 
+TEST(Engine, DuplicatesInOneUncachedBatchSimulateOnce)
+{
+    const Workload w = makeWorkload("LeNet5", "MNIST");
+    const SimulationJob job{AcceleratorSpec{"eyeriss"}, w, {}};
+    EyerissAccelerator direct;
+    const RunResult reference = runWorkload(direct, w);
+
+    SimulationEngine engine;
+    const auto results = engine.runBatch({job, job, job});
+    // The first submit simulates; the other two piggyback in flight or,
+    // if it already finished, hit the cache.
+    EXPECT_EQ(engine.stats().misses, 1u);
+    EXPECT_EQ(engine.stats().hits + engine.stats().in_flight_dedups, 2u);
+    ASSERT_EQ(results.size(), 3u);
+    for (const RunResult& r : results)
+        expectIdentical(r, reference);
+}
+
+TEST(Engine, FailedBatchStillCachesItsGoodJobs)
+{
+    const Workload w = makeWorkload("LeNet5", "MNIST");
+    const SimulationJob good{AcceleratorSpec{"eyeriss"}, w, {}};
+    AcceleratorSpec bad("prosperity");
+    bad.params.set("sparsity", "banana");
+
+    SimulationEngine engine;
+    EXPECT_THROW(engine.runBatch({good, SimulationJob{bad, w, {}}}),
+                 std::invalid_argument);
+    EXPECT_EQ(engine.stats().misses, 1u);
+    EXPECT_EQ(engine.cacheSize(), 1u); // the bad job is not cached
+
+    // runBatch waited for the good job, so a repeat is a cache hit.
+    engine.run(good);
+    EXPECT_EQ(engine.stats().hits, 1u);
+    EXPECT_EQ(engine.stats().misses, 1u);
+}
+
 TEST(Engine, FactoryErrorsPropagateFromWorkers)
 {
-    // Two distinct workloads -> two groups -> the pooled worker path
-    // runs, and the bad factory's exception must surface from it.
+    // The bad factory throws on one of four worker threads; runBatch
+    // must rethrow it to the caller.
     const Workload w1 = makeWorkload("LeNet5", "MNIST");
     const Workload w2 =
         makeWorkload("SpikingBERT", "SST-2");
@@ -177,27 +231,22 @@ TEST(Engine, JobKeyIsCaseInsensitiveLikeTheRegistry)
     expectIdentical(lower, upper);
 }
 
-TEST(Engine, SubmitMatchesRunBatchBitwise)
+TEST(Engine, SubmitMatchesSerialReferenceBitwise)
 {
-    const auto specs = fullLineup();
-    const auto workloads = gridWorkloads();
-    std::vector<SimulationJob> jobs;
-    for (const Workload& w : workloads)
-        for (const AcceleratorSpec& spec : specs)
-            jobs.push_back(SimulationJob{spec, w, {}});
-
-    EngineOptions no_memo;
-    no_memo.memoize = false;
-    SimulationEngine batch_engine(no_memo);
-    const auto batched = batch_engine.runBatch(jobs);
-
-    SimulationEngine async_engine(no_memo);
-    std::vector<std::future<RunResult>> futures;
-    for (const SimulationJob& job : jobs)
-        futures.push_back(async_engine.submit(job));
-    ASSERT_EQ(futures.size(), batched.size());
-    for (std::size_t i = 0; i < futures.size(); ++i)
-        expectIdentical(futures[i].get(), batched[i]);
+    const std::vector<SimulationJob> jobs = gridJobs();
+    const std::vector<RunResult>& reference = serialReference();
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EngineOptions options;
+        options.threads = threads;
+        SimulationEngine engine(options);
+        std::vector<std::future<RunResult>> futures;
+        for (const SimulationJob& job : jobs)
+            futures.push_back(engine.submit(job));
+        ASSERT_EQ(futures.size(), reference.size());
+        for (std::size_t i = 0; i < futures.size(); ++i)
+            expectIdentical(futures[i].get(), reference[i]);
+    }
 }
 
 TEST(Engine, SubmitSharesTheMemoizationCacheWithRunBatch)
@@ -206,18 +255,18 @@ TEST(Engine, SubmitSharesTheMemoizationCacheWithRunBatch)
     const SimulationJob job{AcceleratorSpec{"eyeriss"}, w, {}};
 
     SimulationEngine engine;
-    // Seed the cache through the synchronous path ...
+    // Seed the cache through the blocking call ...
     const RunResult batch_result = engine.run(job);
     EXPECT_EQ(engine.cacheSize(), 1u);
     EXPECT_EQ(engine.cacheHits(), 0u);
 
-    // ... and the async path must hit it (ready future, counted hit).
+    // ... and a later submit must hit it (ready future, counted hit).
     const RunResult async_result = engine.submit(job).get();
     EXPECT_EQ(engine.cacheSize(), 1u);
     EXPECT_EQ(engine.cacheHits(), 1u);
     expectIdentical(batch_result, async_result);
 
-    // The reverse direction: a submit-computed result serves runBatch.
+    // The reverse direction: a submit-computed result serves run.
     SimulationJob other = job;
     other.options.seed = 99;
     const RunResult computed = engine.submit(other).get();
