@@ -5,7 +5,10 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
+#include "bitmatrix/simd_dispatch.h"
+#include "util/build_config.h"
 #include "util/json.h"
 
 namespace prosperity::bench {
@@ -17,6 +20,22 @@ std::string
 jsonEscape(const std::string& s)
 {
     return json::escape(s);
+}
+
+/** The first "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
 }
 
 std::string
@@ -68,6 +87,16 @@ Harness::setConfig(const std::string& key, const std::string& value)
         }
     }
     config_.emplace_back(key, value);
+}
+
+void
+Harness::setHostFingerprint()
+{
+    setConfig("cpu_model", cpuModel());
+    setConfig("cores", std::to_string(std::thread::hardware_concurrency()));
+    setConfig("simd_tier", simdTierName(activeSimdTier()));
+    setConfig("compiler", util::buildConfig().compiler);
+    setConfig("build_type", PROSPERITY_BENCH_BUILD_TYPE);
 }
 
 CaseResult

@@ -77,6 +77,14 @@ class Harness
     void setConfig(const std::string& key, const std::string& value);
 
     /**
+     * Record the host fingerprint as config entries: cpu_model, cores,
+     * simd_tier (the dispatched kernel tier, PROSPERITY_SIMD applied),
+     * compiler and build_type. Timings are only comparable between
+     * documents whose fingerprints agree.
+     */
+    void setHostFingerprint();
+
+    /**
      * Time `fn` (signature: std::uint64_t()) for opts.reps repetitions
      * after opts.warmup untimed runs, record the result, and return a
      * copy of it (by value: later run() calls may reallocate the

@@ -5,12 +5,13 @@
  * `BENCH_hotpath.json` trajectory (schema: docs/BENCHMARKS.md).
  *
  * Stages timed:
- *  - detector: naive all-pairs TCAM sweep vs the popcount-sorted,
- *    signature-prefiltered Detector::detect, over a 256-row tile sweep
- *    across densities (checksums must agree — verified here);
+ *  - frontend: the stage-by-stage Detector::detect -> Pruner ->
+ *    Dispatcher reference (tests/reference/) vs the fused TileAnalysis
+ *    pass the timing path runs, over a 256-row tile sweep across
+ *    densities (prefixes, popcounts and issue order must agree —
+ *    verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitVector::randomize, plus a full SpikeGenerator layer;
- *  - forest: Pruner::prune + ProsparsityForest build;
  *  - gemm: the functional ProductGemm multiply;
  *  - engine: a LeNet5/MNIST end-to-end run through SimulationEngine.
  *
@@ -29,25 +30,31 @@
 
 #include "analysis/engine.h"
 #include "bench_harness.h"
-#include "bitmatrix/simd_dispatch.h"
-#include "core/detector.h"
-#include "core/forest.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
+#include "core/tile_analysis.h"
 #include "gen/spike_generator.h"
+#include "reference/dispatcher.h"
 
 using namespace prosperity;
 
 namespace {
 
-/** XOR-fold a DetectionResult for cross-implementation identity. */
+/**
+ * Fold one tile's front-end products — each row's prefix and NO, then
+ * the issue order — for cross-implementation identity.
+ */
+template <typename PrefixOf, typename PopcountOf, typename Order>
 std::uint64_t
-checksumDetection(const DetectionResult& r)
+checksumFrontEnd(std::size_t rows, PrefixOf prefix_of,
+                 PopcountOf popcount_of, const Order& order)
 {
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < r.rows(); ++i)
-        h ^= r.subset_mask[i].hash() + 0x9e3779b97f4a7c15ULL * i +
-             r.popcounts[i];
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < rows; ++i)
+        h = (h ^ ((static_cast<std::uint64_t>(prefix_of(i) + 1) << 20) |
+                  popcount_of(i))) *
+            0x100000001b3ULL;
+    for (const auto row : order)
+        h = (h ^ static_cast<std::uint64_t>(row)) * 0x100000001b3ULL;
     return h;
 }
 
@@ -127,9 +134,9 @@ main(int argc, char** argv)
     bench::Harness h("hotpath");
     h.setConfig("mode", quick ? "quick" : "full");
     h.setConfig("seed", "7");
-    // Which kernel tier the dispatch actually ran (PROSPERITY_SIMD
-    // applies) — numbers are only comparable between same-tier runs.
-    h.setConfig("simd_tier", simdTierName(activeSimdTier()));
+    // Numbers are only comparable between same-fingerprint runs (the
+    // kernel tier included: PROSPERITY_SIMD applies).
+    h.setHostFingerprint();
 
     const auto reps = [&](std::size_t full_reps) {
         if (reps_override > 0)
@@ -138,13 +145,12 @@ main(int argc, char** argv)
                      : full_reps;
     };
 
-    // ---- detector: naive vs optimized over a 256-row tile sweep ------
-    std::cout << "detector (256-row tile sweep)\n";
+    // ---- frontend: stage-by-stage reference vs fused pass -----------
+    std::cout << "frontend (256-row tile sweep)\n";
     const std::vector<double> densities =
         quick ? std::vector<double>{0.15}
               : std::vector<double>{0.05, 0.15, 0.30};
     const std::size_t tiles_per_density = quick ? 4 : 16;
-    const Detector detector;
     for (double d : densities) {
         const SpikeGenerator gen(benchProfile(d), 7);
         std::vector<BitMatrix> tiles;
@@ -155,33 +161,47 @@ main(int argc, char** argv)
         opts.reps = reps(30);
         opts.warmup = quick ? 1 : 3;
         opts.items = 256.0 * static_cast<double>(tiles.size());
+        const bench::ParamList params = {
+            {"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
+            {"tiles", std::to_string(tiles.size())}};
 
-        const auto naive = h.run(
-            "detector/naive/d=" + fmt(d), "detector",
-            {{"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
-             {"tiles", std::to_string(tiles.size())}},
-            opts, [&] {
+        const auto reference = h.run(
+            "frontend/reference/d=" + fmt(d), "frontend", params, opts,
+            [&] {
                 std::uint64_t c = 0;
-                for (const BitMatrix& tile : tiles)
-                    c ^= checksumDetection(detector.detectNaive(tile));
+                for (const BitMatrix& tile : tiles) {
+                    const SparsityTable table =
+                        Pruner().prune(tile, Detector().detect(tile));
+                    const DispatchResult dispatch =
+                        Dispatcher().dispatch(table);
+                    c ^= checksumFrontEnd(
+                        table.size(),
+                        [&](std::size_t i) { return table[i].prefix; },
+                        [&](std::size_t i) { return table[i].popcount; },
+                        dispatch.order);
+                }
                 return c;
             });
-        const auto fast = h.run(
-            "detector/optimized/d=" + fmt(d), "detector",
-            {{"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
-             {"tiles", std::to_string(tiles.size())}},
-            opts, [&] {
+        const auto fused = h.run(
+            "frontend/fused/d=" + fmt(d), "frontend", params, opts, [&] {
                 std::uint64_t c = 0;
-                for (const BitMatrix& tile : tiles)
-                    c ^= checksumDetection(detector.detect(tile));
+                for (const BitMatrix& tile : tiles) {
+                    const TileAnalysis fe(tile);
+                    c ^= checksumFrontEnd(
+                        fe.rows(),
+                        [&](std::size_t i) { return fe.prefix(i); },
+                        [&](std::size_t i) { return fe.popcount(i); },
+                        fe.order());
+                }
                 return c;
             });
-        if (naive.checksum != fast.checksum) {
-            std::cerr << "FATAL: optimized detector diverged from naive "
+        if (reference.checksum != fused.checksum) {
+            std::cerr << "FATAL: fused front end diverged from the "
                          "reference at density " << d << "\n";
             return 1;
         }
-        std::cout << "    speedup " << fmt(naive.median_ns / fast.median_ns)
+        std::cout << "    speedup "
+                  << fmt(reference.median_ns / fused.median_ns)
                   << "x (checksums identical)\n";
     }
 
@@ -220,37 +240,6 @@ main(int argc, char** argv)
               layer_opts, [&] {
                   const SpikeGenerator gen(benchProfile(0.2), 7);
                   return checksumMatrix(gen.generate(1024, 512, 4, 1));
-              });
-    }
-
-    // ---- forest: prune + forest build over detected tiles ------------
-    std::cout << "forest\n";
-    {
-        const SpikeGenerator gen(benchProfile(0.15), 7);
-        const std::size_t n_tiles = quick ? 4 : 16;
-        std::vector<BitMatrix> tiles;
-        std::vector<DetectionResult> detections;
-        for (std::size_t t = 0; t < n_tiles; ++t) {
-            tiles.push_back(gen.generate(256, 16, 4, t));
-            detections.push_back(detector.detect(tiles.back()));
-        }
-        const Pruner pruner;
-        bench::CaseOptions opts;
-        opts.reps = reps(30);
-        opts.warmup = quick ? 1 : 3;
-        opts.items = 256.0 * static_cast<double>(n_tiles);
-        h.run("forest/prune_and_build", "forest",
-              {{"rows", "256"}, {"tiles", std::to_string(n_tiles)}}, opts,
-              [&] {
-                  std::uint64_t c = 0;
-                  for (std::size_t t = 0; t < n_tiles; ++t) {
-                      const SparsityTable table =
-                          pruner.prune(tiles[t], detections[t]);
-                      const ProsparsityForest forest(table);
-                      c ^= forest.treeCount() + 31 * forest.depth() +
-                           131 * forest.bfsOrder().size();
-                  }
-                  return c;
               });
     }
 

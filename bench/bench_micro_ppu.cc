@@ -1,17 +1,17 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the simulator's PPU stage models:
- * Detector (TCAM functional model), Pruner, Dispatcher and the
- * functional ProSparsity GeMM. These measure *simulator software*
- * throughput, useful when sizing sampling budgets for large sweeps.
+ * Google-benchmark microbenchmarks of the simulator's PPU models: the
+ * fused tile front end (TileAnalysis), the per-tile cost model in both
+ * dispatch modes and the functional ProSparsity GeMM. These measure
+ * *simulator software* throughput, useful when sizing sampling budgets
+ * for large sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
+#include "core/tile_analysis.h"
+#include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
 
@@ -28,46 +28,44 @@ makeTile(std::size_t m, std::size_t k, double density)
 }
 
 void
-BM_Detector(benchmark::State& state)
+BM_TileAnalysis(benchmark::State& state)
 {
     const BitMatrix tile =
         makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const Detector detector;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(detector.detect(tile));
+        benchmark::DoNotOptimize(TileAnalysis(tile));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Detector)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_TileAnalysis)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void
-BM_Pruner(benchmark::State& state)
+BM_TilePipelineOverheadFree(benchmark::State& state)
 {
     const BitMatrix tile =
         makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const DetectionResult detection = Detector().detect(tile);
-    const Pruner pruner;
+    const TilePipeline pipeline(SparsityMode::kProductSparsity,
+                                DispatchMode::kOverheadFree);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(pruner.prune(tile, detection));
+        benchmark::DoNotOptimize(pipeline.process(tile));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Pruner)->Arg(64)->Arg(256);
+BENCHMARK(BM_TilePipelineOverheadFree)->Arg(64)->Arg(256);
 
 void
-BM_DispatcherSort(benchmark::State& state)
+BM_TilePipelineTraversal(benchmark::State& state)
 {
     const BitMatrix tile =
         makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const SparsityTable table =
-        Pruner().prune(tile, Detector().detect(tile));
-    const Dispatcher dispatcher(DispatchMode::kOverheadFree);
+    const TilePipeline pipeline(SparsityMode::kProductSparsity,
+                                DispatchMode::kTreeTraversal);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(dispatcher.dispatch(table));
+        benchmark::DoNotOptimize(pipeline.process(tile));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DispatcherSort)->Arg(256);
+BENCHMARK(BM_TilePipelineTraversal)->Arg(256);
 
 void
 BM_ProductGemm(benchmark::State& state)

@@ -3,8 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/detector.h"
-#include "core/pruner.h"
+#include "core/tile_analysis.h"
 #include "gen/spike_generator.h"
 #include "sim/logging.h"
 
@@ -28,9 +27,9 @@ namespace {
 
 /** Analyze one cropped tile, optionally selecting a second prefix. */
 DensityReport
-analyzeTile(const BitMatrix& tile, const DetectionResult& detection,
-            const SparsityTable& table, bool two_prefix)
+analyzeTile(const BitMatrix& tile, bool two_prefix)
 {
+    const TileAnalysis fe(tile);
     DensityReport report;
     const std::size_t m = tile.rows();
     report.rows = static_cast<double>(m);
@@ -38,13 +37,12 @@ analyzeTile(const BitMatrix& tile, const DetectionResult& detection,
         static_cast<double>(m) * static_cast<double>(tile.cols());
 
     for (std::size_t i = 0; i < m; ++i) {
-        const PrefixEntry& entry = table[i];
-        report.bits_set += static_cast<double>(entry.popcount);
-        const std::size_t residual_one = entry.pattern.popcount();
+        report.bits_set += static_cast<double>(fe.popcount(i));
+        const std::size_t residual_one = fe.residualPopcount(i);
         report.pattern_bits_one += static_cast<double>(residual_one);
-        if (entry.hasPrefix()) {
+        if (fe.hasPrefix(i)) {
             report.rows_one_prefix += 1.0;
-            if (entry.kind == PrefixKind::kExactMatch)
+            if (fe.isExactMatch(i))
                 report.exact_matches += 1.0;
             else
                 report.partial_matches += 1.0;
@@ -55,25 +53,17 @@ analyzeTile(const BitMatrix& tile, const DetectionResult& detection,
             continue;
         }
 
-        // Second prefix: the largest candidate fully inside the residual
-        // pattern (guaranteeing disjointness from the first prefix).
-        std::size_t best_pops = 1; // a useful second prefix has >= 2 ones
-        std::int32_t best = -1;
-        if (entry.hasPrefix() && residual_one >= 2) {
-            const BitVector& candidates = detection.subset_mask[i];
-            for (std::size_t j = candidates.findFirst(); j < m;
-                 j = candidates.findNext(j)) {
-                if (static_cast<std::int32_t>(j) == entry.prefix)
-                    continue;
-                const std::size_t pops = detection.popcounts[j];
-                if (pops > best_pops &&
-                    tile.row(j).isSubsetOf(entry.pattern)) {
-                    best_pops = pops;
-                    best = static_cast<std::int32_t>(j);
-                }
-            }
+        // Second prefix: the largest row (at least two ones) fully
+        // inside the residual pattern. Such a row is disjoint from the
+        // first prefix and a subset of this row, so it is neither of
+        // them.
+        std::size_t best_pops = 0;
+        if (fe.hasPrefix(i) && residual_one >= 2) {
+            const BitVector pattern = tile.row(i).andNot(
+                tile.row(static_cast<std::size_t>(fe.prefix(i))));
+            best_pops = fe.largestSubsetPopcount(pattern, 2, residual_one);
         }
-        if (best >= 0) {
+        if (best_pops > 0) {
             report.rows_two_prefix += 1.0;
             report.pattern_bits_two +=
                 static_cast<double>(residual_one - best_pops);
@@ -109,15 +99,10 @@ analyzeMatrix(const BitMatrix& spikes, const DensityOptions& options)
         origins = std::move(sampled);
     }
 
-    Detector detector;
-    Pruner pruner;
     DensityReport total;
     for (const auto& [r0, c0] : origins) {
-        const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
-        const DetectionResult detection = detector.detect(t);
-        const SparsityTable table = pruner.prune(t, detection);
-        DensityReport tile_report =
-            analyzeTile(t, detection, table, options.two_prefix);
+        DensityReport tile_report = analyzeTile(
+            spikes.tile(r0, c0, tile.m, tile.k), options.two_prefix);
         tile_report.bits_total *= scale;
         tile_report.bits_set *= scale;
         tile_report.pattern_bits_one *= scale;

@@ -65,13 +65,19 @@ BitMatrix::tile(std::size_t row0, std::size_t col0, std::size_t tile_rows,
     const std::size_t r_end = std::min(rows(), row0 + tile_rows);
     const std::size_t c_end = std::min(cols(), col0 + tile_cols);
     BitMatrix out(r_end - row0, c_end - col0);
+    // Word shifts: output word w holds source bits [col0 + 64w, +64),
+    // the low part from source word base + w and the high part from
+    // the next one; setWord masks off everything past c_end.
+    const std::size_t base = col0 / 64;
+    const std::size_t shift = col0 % 64;
     for (std::size_t r = row0; r < r_end; ++r) {
-        const BitVector& src = rows_[r];
+        const std::span<const std::uint64_t> src = rows_[r].words();
         BitVector& dst = out.rows_[r - row0];
-        for (std::size_t c = src.findNext(col0 == 0 ? std::size_t(-1)
-                                                    : col0 - 1);
-             c < c_end; c = src.findNext(c)) {
-            dst.set(c - col0);
+        for (std::size_t w = 0; w < dst.wordCount(); ++w) {
+            std::uint64_t word = src[base + w] >> shift;
+            if (shift != 0 && base + w + 1 < src.size())
+                word |= src[base + w + 1] << (64 - shift);
+            dst.setWord(w, word);
         }
     }
     return out;

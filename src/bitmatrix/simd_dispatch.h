@@ -15,8 +15,9 @@
  * word_kernels.h for every input — not "close", identical. The
  * differential suite (tests/test_simd_kernels.cc) fuzzes all available
  * tiers against the scalar reference across widths, word-boundary
- * tails and adversarial patterns, and the golden pins (detector
- * identity, spike-generator hashes, byte-identical campaign reports)
+ * tails and adversarial patterns, and the golden pins (fused front end
+ * vs the stage-by-stage reference, spike-generator hashes,
+ * byte-identical campaign reports)
  * are re-run under each forced tier. Tier choice can never change a
  * simulation result, only its speed.
  *
@@ -91,8 +92,9 @@ struct SimdOps
      * (sigs[t] & ~query_sig) == 0, ascending, and returns how many it
      * wrote. `out` must have room for n entries; entries past the
      * returned count are unspecified (the vector tiers compress-store
-     * survivors branchlessly). This is the Detector's inner loop: one
-     * query row tested against every sorted candidate signature.
+     * survivors branchlessly). This is the reference Detector's inner
+     * loop (tests/reference/): one query row tested against every
+     * sorted candidate signature.
      */
     std::size_t (*signatureScanWords)(const std::uint64_t* sigs,
                                       std::size_t n,

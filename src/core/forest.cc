@@ -6,13 +6,14 @@
 
 namespace prosperity {
 
-ProsparsityForest::ProsparsityForest(const SparsityTable& table)
-    : children_(table.size())
+ProsparsityForest::ProsparsityForest(
+    const std::vector<std::int32_t>& prefixes)
+    : children_(prefixes.size())
 {
-    const std::size_t m = table.size();
+    const std::size_t m = prefixes.size();
     for (std::size_t i = 0; i < m; ++i) {
-        if (table[i].hasPrefix()) {
-            const auto p = static_cast<std::size_t>(table[i].prefix);
+        if (prefixes[i] >= 0) {
+            const auto p = static_cast<std::size_t>(prefixes[i]);
             PROSPERITY_ASSERT(p < m, "prefix index out of range");
             children_[p].push_back(i);
         } else {

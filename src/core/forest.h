@@ -4,26 +4,26 @@
  *
  * After pruning, every row has at most one prefix, so the prefix
  * pointers form a directed forest whose topological order is the legal
- * execution order. The Dispatcher stores only the O(m) prefix pointers;
- * this helper materializes the suffix (children) lists when a traversal
- * or a structural check needs them.
+ * execution order. The hardware stores only the O(m) prefix pointers
+ * (TileAnalysis::prefixes()); this helper materializes the suffix
+ * (children) lists when a traversal or a structural check needs them.
  */
 
 #ifndef PROSPERITY_CORE_FOREST_H
 #define PROSPERITY_CORE_FOREST_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
-
-#include "core/pruner.h"
 
 namespace prosperity {
 
-/** Materialized forest view over a sparsity table. */
+/** Materialized forest view over a tile's prefix pointers. */
 class ProsparsityForest
 {
   public:
-    explicit ProsparsityForest(const SparsityTable& table);
+    /** Build from each row's prefix index (negative: no prefix). */
+    explicit ProsparsityForest(const std::vector<std::int32_t>& prefixes);
 
     std::size_t size() const { return children_.size(); }
 
@@ -40,8 +40,8 @@ class ProsparsityForest
     std::size_t treeCount() const { return roots_.size(); }
 
     /**
-     * Whether the prefix pointers are acyclic (always true for tables
-     * produced by the Pruner; exposed for property tests).
+     * Whether the prefix pointers are acyclic (always true for a
+     * pruned tile; exposed for property tests).
      */
     bool isAcyclic() const { return acyclic_; }
 

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "arch/sram.h"
+#include "obs/clock.h"
+#include "obs/trace.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -55,8 +57,41 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
 
     const TilePipeline pipeline(options_.sparsity, options_.dispatch,
                                 options_.issue_width);
+    // Per-byte access energies of the three tile buffers, built only
+    // when energy is charged: SramBuffer rejects the zero-byte spike
+    // word of a tile_k < 8 configuration, which cycle-only callers may
+    // still simulate.
+    double wgt_pj_per_byte = 0.0;
+    double out_pj_per_byte = 0.0;
+    double spk_pj_per_byte = 0.0;
+    if (energy && !origins.empty()) {
+        wgt_pj_per_byte =
+            SramBuffer("weight", config_.weightBufferBytes(), tile.n)
+                .accessEnergyPerBytePj();
+        out_pj_per_byte =
+            SramBuffer("output", config_.outputBufferBytes(),
+                       tile.n * config_.psum_bits / 8)
+                .accessEnergyPerBytePj();
+        spk_pj_per_byte =
+            SramBuffer("spike", config_.spikeBufferBytes(), tile.k / 8)
+                .accessEnergyPerBytePj();
+    }
     PpuLayerResult result;
     result.dense_ops = shape.denseOps();
+
+    // Front-end attribution for the enclosing stage/spiking_gemm span:
+    // time in extraction, analysis and energy charging, read only when
+    // this thread is traced.
+    const bool traced = obs::traceActive();
+    const auto now = [traced] {
+        return traced ? obs::monotonicNanos() : std::uint64_t{0};
+    };
+    std::uint64_t extract_ns = 0;
+    std::uint64_t analysis_ns = 0;
+    std::uint64_t energy_ns = 0;
+    std::uint64_t rows = 0;
+    std::uint64_t prefix_hits = 0;
+    std::uint64_t exact_matches = 0;
 
     const double n_total = static_cast<double>(shape.n);
     double pipelined_cycles = 0.0;
@@ -64,8 +99,16 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     bool first = true;
 
     for (const auto& [r0, c0] : origins) {
+        const std::uint64_t t0 = now();
         const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
+        const std::uint64_t t1 = now();
         const TileStats stats = pipeline.process(t);
+        const std::uint64_t t2 = now();
+        extract_ns += t1 - t0;
+        analysis_ns += t2 - t1;
+        rows += stats.rows;
+        prefix_hits += stats.prefix_hits;
+        exact_matches += stats.exact_matches;
 
         const double compute =
             static_cast<double>(stats.compute_cycles) *
@@ -108,25 +151,29 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
             energy->charge("processor", e.pe_add8_pj,
                            stats.accum_row_ops * n_total * scale);
 
-            const SramBuffer wgt("weight", config_.weightBufferBytes(),
-                                 tile.n);
-            const SramBuffer out("output", config_.outputBufferBytes(),
-                                 tile.n * config_.psum_bits / 8);
-            const SramBuffer spk("spike", config_.spikeBufferBytes(),
-                                 tile.k / 8);
             const double psum_bytes =
                 static_cast<double>(config_.psum_bits) / 8.0;
-            energy->charge("buffer", wgt.accessEnergyPerBytePj(),
+            energy->charge("buffer", wgt_pj_per_byte,
                            stats.accum_row_ops * n_total * scale);
-            energy->charge("buffer", out.accessEnergyPerBytePj(),
+            energy->charge("buffer", out_pj_per_byte,
                            (static_cast<double>(stats.rows) +
                             stats.prefix_loads) *
                                n_total * psum_bytes * scale);
-            energy->charge("buffer", spk.accessEnergyPerBytePj(),
+            energy->charge("buffer", spk_pj_per_byte,
                            2.0 * static_cast<double>(stats.rows) *
                                static_cast<double>(stats.cols) / 8.0 *
                                scale);
         }
+        energy_ns += now() - t2;
+    }
+    if (traced) {
+        obs::addSpanArg("tiles", origins.size());
+        obs::addSpanArg("rows", rows);
+        obs::addSpanArg("prefix_hits", prefix_hits);
+        obs::addSpanArg("exact_matches", exact_matches);
+        obs::addSpanArg("extract_ns", extract_ns);
+        obs::addSpanArg("analysis_ns", analysis_ns);
+        obs::addSpanArg("energy_ns", energy_ns);
     }
 
     // Inter-PPU parallelism: row-tiles are distributed across PPU

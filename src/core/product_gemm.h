@@ -3,7 +3,8 @@
  * Functional ProSparsity spiking GeMM.
  *
  * Executes a spiking GeMM exactly the way the Prosperity Processor does
- * (Sec. V-E): tile by tile, rows issued in the Dispatcher's order, each
+ * (Sec. V-E): tile by tile, rows issued in the dispatch order (NO order,
+ * or the forest's BFS order under traversal dispatch), each
  * row starting from its prefix's output row and accumulating only the
  * weight rows selected by its residual pattern. Because ProSparsity is
  * lossless, the result is bit-identical to the dense reference — the

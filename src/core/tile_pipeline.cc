@@ -2,22 +2,23 @@
 
 #include <cmath>
 
-#include "core/detector.h"
-#include "sim/logging.h"
+#include "core/tile_analysis.h"
 
 namespace prosperity {
 
-TilePipeline::FrontEnd
-TilePipeline::processFull(const BitMatrix& tile) const
+namespace {
+
+/** Compare-exchange count of an m-input bitonic sorting network. */
+double
+bitonicCompares(std::size_t m)
 {
-    Detector detector;
-    Pruner pruner;
-    FrontEnd fe;
-    const DetectionResult detection = detector.detect(tile);
-    fe.table = pruner.prune(tile, detection);
-    fe.dispatch = dispatcher_.dispatch(fe.table);
-    return fe;
+    if (m <= 1)
+        return 0.0;
+    const double log_m = std::ceil(std::log2(static_cast<double>(m)));
+    return static_cast<double>(m) / 2.0 * log_m * (log_m + 1.0) / 2.0;
 }
+
+} // namespace
 
 TileStats
 TilePipeline::process(const BitMatrix& tile) const
@@ -48,37 +49,50 @@ TilePipeline::process(const BitMatrix& tile) const
         return stats;
     }
 
-    const FrontEnd fe = processFull(tile);
+    const TileAnalysis fe(tile);
 
-    stats.prosparsity_cycles =
-        Detector::phaseCycles(stats.rows) + fe.dispatch.exposed_cycles;
-    stats.tcam_bit_ops = Detector::tcamBitOps(stats.rows, stats.cols);
-    stats.popcount_ops = static_cast<double>(stats.rows);
-    stats.pruner_ops = static_cast<double>(stats.rows);
-    stats.sorter_compares = fe.dispatch.sorter_compares;
-    stats.table_accesses = fe.dispatch.table_accesses;
+    // The Step 2-6 detection pipeline issues one row per cycle through
+    // five stages (rows + 4, Sec. VI-A); each query is one broadside
+    // TCAM search over the whole tile.
+    const double m = static_cast<double>(stats.rows);
+    stats.prosparsity_cycles = stats.rows + 4;
+    stats.tcam_bit_ops = m * m * static_cast<double>(stats.cols);
+    stats.popcount_ops = m;
+    stats.pruner_ops = m;
+    stats.table_accesses = 2.0 * m; // write + read
+    if (dispatch_ == DispatchMode::kOverheadFree) {
+        // The bitonic sorter's O(log^2 m) depth hides behind detection.
+        stats.sorter_compares = bitonicCompares(stats.rows);
+    } else {
+        // Without suffix pointers, scheduling each row walks its prefix
+        // chain leaf-to-root through the table, one lookup per hop. The
+        // table is banked two ways, so two walks proceed per cycle.
+        const std::size_t walk = fe.prefixChainHops();
+        stats.prosparsity_cycles += (walk + 1) / 2;
+        stats.table_accesses += static_cast<double>(walk);
+    }
 
     double adds = 0.0;
     for (std::size_t r = 0; r < stats.rows; ++r) {
-        const PrefixEntry& entry = fe.table[r];
-        stats.bit_row_ops += static_cast<double>(entry.popcount);
-        const std::size_t pattern_pops = entry.pattern.popcount();
+        const std::size_t pops = fe.popcount(r);
+        stats.bit_row_ops += static_cast<double>(pops);
+        const std::size_t pattern_pops = fe.residualPopcount(r);
         stats.accum_row_ops += static_cast<double>(pattern_pops);
         // An exact match has an all-zero pattern but still occupies one
         // issue cycle to copy the prefix result (Sec. VII-F); all-zero
         // rows are squeezed out entirely. Copies go through the banked
         // psum path, so `issue_width` of them retire per cycle
         // (intra-PPU parallelism, Sec. VIII-A).
-        if (entry.popcount > 0) {
+        if (pops > 0) {
             if (pattern_pops == 0)
                 stats.floor_rows += 1.0;
             else
                 adds += static_cast<double>(pattern_pops);
         }
-        if (entry.hasPrefix()) {
+        if (fe.hasPrefix(r)) {
             ++stats.prefix_hits;
             ++stats.prefix_loads;
-            if (entry.kind == PrefixKind::kExactMatch)
+            if (pattern_pops == 0)
                 ++stats.exact_matches;
             else
                 ++stats.partial_matches;

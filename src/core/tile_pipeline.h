@@ -1,12 +1,12 @@
 /**
  * @file
- * Per-tile PPU processing: Detector -> Pruner -> Dispatcher -> cost.
+ * Per-tile PPU processing: TileAnalysis (detect, prune, order) -> cost.
  *
- * Combines the stage models into the per-tile schedule the pipeline
- * model (ppu.h) consumes, and counts the architectural activity the
- * energy model charges. Supports the ablation configurations of Fig. 9:
- * bit-sparsity-only processing (no detection, no reuse) and product
- * sparsity with either dispatch mode.
+ * Turns one tile's front-end analysis (core/tile_analysis.h) into the
+ * per-tile schedule the pipeline model (ppu.h) consumes, and counts
+ * the architectural activity the energy model charges. Supports the
+ * ablation configurations of Fig. 9: bit-sparsity-only processing (no
+ * detection, no reuse) and product sparsity with either dispatch mode.
  */
 
 #ifndef PROSPERITY_CORE_TILE_PIPELINE_H
@@ -15,8 +15,6 @@
 #include <cstddef>
 
 #include "bitmatrix/bit_matrix.h"
-#include "core/dispatcher.h"
-#include "core/pruner.h"
 
 namespace prosperity {
 
@@ -24,6 +22,18 @@ namespace prosperity {
 enum class SparsityMode {
     kBitSparsity,     ///< skip zeros only (rows processed as-is)
     kProductSparsity, ///< prefix reuse + residual patterns (the paper)
+};
+
+/**
+ * Execution-order generation strategy (Sec. V-D). A stable sort by NO
+ * already places every prefix before its suffixes, and the hardware's
+ * bitonic sorter runs concurrently with detection; the ablation
+ * baseline (Fig. 9) instead traverses the forest, walking each row's
+ * prefix chain through the O(m) table.
+ */
+enum class DispatchMode {
+    kOverheadFree,  ///< stable sort by NO (the paper's design)
+    kTreeTraversal, ///< BFS over the forest (ablation baseline)
 };
 
 /** Activity and timing of one spike tile through the PPU. */
@@ -80,7 +90,7 @@ class TilePipeline
 
     TilePipeline(SparsityMode sparsity, DispatchMode dispatch,
                  std::size_t issue_width = 1)
-        : sparsity_(sparsity), dispatcher_(dispatch),
+        : sparsity_(sparsity), dispatch_(dispatch),
           issue_width_(issue_width == 0 ? 1 : issue_width)
     {
     }
@@ -90,20 +100,9 @@ class TilePipeline
     /** Process one cropped tile and return its schedule/activity. */
     TileStats process(const BitMatrix& tile) const;
 
-    /**
-     * Full front-end products for the functional executor: sparsity
-     * table plus issue order. Only meaningful in product-sparsity mode.
-     */
-    struct FrontEnd
-    {
-        SparsityTable table;
-        DispatchResult dispatch;
-    };
-    FrontEnd processFull(const BitMatrix& tile) const;
-
   private:
     SparsityMode sparsity_;
-    Dispatcher dispatcher_;
+    DispatchMode dispatch_;
     std::size_t issue_width_;
 };
 

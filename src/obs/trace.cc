@@ -37,6 +37,8 @@ struct ThreadTraceState
     TraceContext context;
     std::vector<TraceSpan> buffer;
     std::uint32_t tid = 0;
+    /** Innermost active ScopedSpan (the target of addSpanArg). */
+    ScopedSpan* open_span = nullptr;
 };
 
 ThreadTraceState&
@@ -125,7 +127,9 @@ ScopedTraceContext::ScopedTraceContext(TraceContext context)
 {
     ThreadTraceState& state = threadState();
     previous_ = state.context;
+    previous_span_ = state.open_span;
     state.context = context;
+    state.open_span = nullptr; // spans of the outer context stay closed
     installed_ = true;
 }
 
@@ -135,6 +139,7 @@ ScopedTraceContext::~ScopedTraceContext()
         return;
     ThreadTraceState& state = threadState();
     state.context = previous_;
+    state.open_span = previous_span_;
     // Drain now so the trace is collectible the moment the scope that
     // produced it ends (workers flush per task, not per process).
     flushThreadBuffer(state);
@@ -165,6 +170,8 @@ ScopedSpan::open(const char* category)
     span_id_ = nextSpanId();
     parent_id_ = state.context.parent_span;
     state.context.parent_span = span_id_;
+    enclosing_ = state.open_span;
+    state.open_span = this;
     start_ns_ = monotonicNanos();
 }
 
@@ -174,6 +181,7 @@ ScopedSpan::~ScopedSpan()
         return;
     ThreadTraceState& state = threadState();
     state.context.parent_span = parent_id_;
+    state.open_span = enclosing_;
 
     TraceSpan span;
     span.trace_id = state.context.trace_id;
@@ -185,9 +193,17 @@ ScopedSpan::~ScopedSpan()
     span.category = category_;
     span.name = std::move(name_);
     span.detail = std::move(detail_);
+    span.args = std::move(args_);
     state.buffer.push_back(std::move(span));
     if (state.buffer.size() >= kFlushBatch)
         flushThreadBuffer(state);
+}
+
+void
+addSpanArg(const char* key, std::uint64_t value)
+{
+    if (ScopedSpan* span = threadState().open_span)
+        span->args_.emplace_back(key, value);
 }
 
 void
@@ -413,6 +429,8 @@ chromeTraceJson(const std::vector<TraceSpan>& spans)
         args.set("parent", formatTraceId(span->parent_id));
         if (!span->detail.empty())
             args.set("detail", span->detail);
+        for (const auto& [key, value] : span->args)
+            args.set(key, static_cast<std::size_t>(value));
         event.set("args", std::move(args));
         events.push(std::move(event));
     }

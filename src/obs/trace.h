@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -70,6 +71,8 @@ struct TraceSpan
     std::string name;
     /** Optional free-form annotation (accelerator name, byte counts). */
     std::string detail;
+    /** Named counters attached with addSpanArg (keys are literals). */
+    std::vector<std::pair<const char*, std::uint64_t>> args;
 };
 
 /**
@@ -103,6 +106,8 @@ TraceContext currentTraceContext();
 /** True iff the recorder is on AND this thread has a live context. */
 bool traceActive();
 
+class ScopedSpan;
+
 /**
  * Installs `context` as the thread's ambient trace for the enclosing
  * scope and restores the previous context on destruction, flushing
@@ -119,6 +124,7 @@ class ScopedTraceContext
 
   private:
     TraceContext previous_;
+    ScopedSpan* previous_span_ = nullptr;
     bool installed_ = false;
 };
 
@@ -146,16 +152,30 @@ class ScopedSpan
     void setDetail(std::string detail) { detail_ = std::move(detail); }
 
   private:
+    friend void addSpanArg(const char* key, std::uint64_t value);
+
     void open(const char* category);
 
     bool active_ = false;
     const char* category_ = "";
     std::string name_;
     std::string detail_;
+    std::vector<std::pair<const char*, std::uint64_t>> args_;
+    /** The thread's innermost open span when this one opened. */
+    ScopedSpan* enclosing_ = nullptr;
     std::uint64_t span_id_ = 0;
     std::uint64_t parent_id_ = 0;
     std::uint64_t start_ns_ = 0;
 };
+
+/**
+ * Attach a named counter to the thread's innermost open span; it is
+ * exported in the span's Chrome-trace "args". `key` must outlive the
+ * recorder (a string literal). No-op when no span is open, i.e.
+ * whenever the thread is not being traced — callers that would have
+ * to measure the value first should check traceActive() instead.
+ */
+void addSpanArg(const char* key, std::uint64_t value);
 
 /**
  * Record an externally-timed span (both endpoints already measured

@@ -544,16 +544,18 @@ SimulationService::jobStatus(const std::string& id) const
 }
 
 HttpResponse
-SimulationService::report(const std::string& id,
-                          const std::string& format) const
+SimulationService::report(const std::string& id, const std::string& format)
 {
     if (format != "json" && format != "csv")
         return HttpResponse::error(
             400, "unknown format \"" + format +
                      "\" (accepted: json, csv)");
 
-    // Copy the record's futures out so report assembly (which may
-    // serialize large campaigns) runs outside the service lock.
+    // A finished record's JSON report is served from its rendered
+    // bytes. Otherwise copy the record's futures out so report
+    // assembly (which may serialize large campaigns) runs outside the
+    // service lock.
+    std::shared_ptr<const std::string> rendered;
     JobRecord record;
     {
         util::MutexLock lock(mutex_);
@@ -561,8 +563,13 @@ SimulationService::report(const std::string& id,
         if (it == records_.end())
             return HttpResponse::error(404, "unknown job id \"" + id +
                                                 '"');
-        record = it->second;
+        if (format == "json")
+            rendered = it->second.json_report;
+        if (!rendered)
+            record = it->second;
     }
+    if (rendered)
+        return HttpResponse::text(200, *rendered, "application/json");
 
     const RecordStatus status = statusOf(record);
     if (status.failed)
@@ -582,6 +589,21 @@ SimulationService::report(const std::string& id,
                      " jobs finished); poll /v1/jobs/" + id);
     }
 
+    HttpResponse response = renderReport(record, format);
+    if (format == "json") {
+        rendered = std::make_shared<const std::string>(response.body);
+        util::MutexLock lock(mutex_);
+        const auto it = records_.find(id);
+        if (it != records_.end() && !it->second.json_report)
+            it->second.json_report = std::move(rendered);
+    }
+    return response;
+}
+
+HttpResponse
+SimulationService::renderReport(const JobRecord& record,
+                                const std::string& format)
+{
     if (record.adaptive()) {
         const CampaignReport& campaign_report =
             record.adaptive_report.get();

@@ -133,6 +133,10 @@ class SimulationService
         /** obs::monotonicNanos() at submit; feeds the progress route's
          *  elapsed/ETA fields only, never any report byte. */
         std::uint64_t start_ns = 0;
+        /** The JSON report, rendered on the first fetch after the
+         *  record finished; later fetches serve these bytes without
+         *  copying the record. Never set while pending or failed. */
+        std::shared_ptr<const std::string> json_report;
 
         bool adaptive() const { return adaptive_report.valid(); }
     };
@@ -160,8 +164,10 @@ class SimulationService
     HttpResponse submitRun(const HttpRequest& request);
     HttpResponse submitCampaign(const HttpRequest& request);
     HttpResponse jobStatus(const std::string& id) const;
-    HttpResponse report(const std::string& id,
-                        const std::string& format) const;
+    HttpResponse report(const std::string& id, const std::string& format);
+    /** Render a finished record's report (no lock held). */
+    static HttpResponse renderReport(const JobRecord& record,
+                                     const std::string& format);
     HttpResponse registryRosters() const;
     HttpResponse statsDocument() const;
     HttpResponse campaignProgress(const std::string& id) const;

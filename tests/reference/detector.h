@@ -1,6 +1,10 @@
 /**
  * @file
- * ProSparsity Detector (Sec. V-B).
+ * ProSparsity Detector (Sec. V-B) — stage-by-stage reference model.
+ *
+ * Test-only: the timing path runs the fused core/tile_analysis.h pass,
+ * which tests/test_tile_analysis.cc pins against detectNaive() ->
+ * Pruner -> Dispatcher.
  *
  * Functional model of the TCAM-based spatial detection and the popcount
  * temporal detection. For each query row the TCAM masks the row's 1-bits
@@ -10,8 +14,8 @@
  * the preliminary temporal information.
  */
 
-#ifndef PROSPERITY_CORE_DETECTOR_H
-#define PROSPERITY_CORE_DETECTOR_H
+#ifndef PROSPERITY_REFERENCE_DETECTOR_H
+#define PROSPERITY_REFERENCE_DETECTOR_H
 
 #include <cstdint>
 #include <vector>
@@ -59,7 +63,7 @@ class Detector
     /**
      * Retained O(m^2) reference implementation: the all-pairs TCAM
      * sweep the optimized detect() is validated and benchmarked
-     * against (tests/test_detector.cc, bench/bench_hotpath.cc).
+     * against (tests/test_detector.cc, tests/test_tile_analysis.cc).
      */
     DetectionResult detectNaive(const BitMatrix& tile) const;
 
@@ -86,4 +90,4 @@ class Detector
 
 } // namespace prosperity
 
-#endif // PROSPERITY_CORE_DETECTOR_H
+#endif // PROSPERITY_REFERENCE_DETECTOR_H

@@ -43,7 +43,7 @@ Dispatcher::dispatch(const SparsityTable& table) const
         break;
       }
       case DispatchMode::kTreeTraversal: {
-        const ProsparsityForest forest(table);
+        const ProsparsityForest forest(prefixIndices(table));
         result.order = forest.bfsOrder();
         // Without suffix pointers, scheduling each row requires walking
         // its prefix chain leaf-to-root through the table (Sec. V-D's

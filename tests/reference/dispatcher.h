@@ -1,6 +1,10 @@
 /**
  * @file
- * ProSparsity Dispatcher (Sec. V-D).
+ * ProSparsity Dispatcher (Sec. V-D) — stage-by-stage reference model.
+ *
+ * Test-only, like reference/detector.h: core/tile_analysis.h produces
+ * the same order by counting sort, and core/tile_pipeline.cc the same
+ * cost model.
  *
  * Derives the execution order of a tile's rows. The paper's key
  * observation: a *stable* sort by number-of-ones already places every
@@ -15,21 +19,16 @@
  * cycles because the O(m) table stores no suffix lists.
  */
 
-#ifndef PROSPERITY_CORE_DISPATCHER_H
-#define PROSPERITY_CORE_DISPATCHER_H
+#ifndef PROSPERITY_REFERENCE_DISPATCHER_H
+#define PROSPERITY_REFERENCE_DISPATCHER_H
 
 #include <cstddef>
 #include <vector>
 
-#include "core/pruner.h"
+#include "core/tile_pipeline.h"
+#include "reference/pruner.h"
 
 namespace prosperity {
-
-/** Execution-order generation strategy. */
-enum class DispatchMode {
-    kOverheadFree,  ///< stable sort by NO (the paper's design)
-    kTreeTraversal, ///< BFS over the forest (ablation baseline)
-};
 
 /** Execution order plus its cost model. */
 struct DispatchResult
@@ -71,4 +70,4 @@ class Dispatcher
 
 } // namespace prosperity
 
-#endif // PROSPERITY_CORE_DISPATCHER_H
+#endif // PROSPERITY_REFERENCE_DISPATCHER_H

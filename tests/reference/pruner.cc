@@ -4,6 +4,16 @@
 
 namespace prosperity {
 
+std::vector<std::int32_t>
+prefixIndices(const SparsityTable& table)
+{
+    std::vector<std::int32_t> prefixes;
+    prefixes.reserve(table.size());
+    for (const PrefixEntry& entry : table)
+        prefixes.push_back(entry.prefix);
+    return prefixes;
+}
+
 SparsityTable
 Pruner::prune(const BitMatrix& tile, const DetectionResult& detection) const
 {

@@ -1,6 +1,9 @@
 /**
  * @file
- * ProSparsity Pruner (Sec. V-C).
+ * ProSparsity Pruner (Sec. V-C) — stage-by-stage reference model.
+ *
+ * Test-only, like reference/detector.h: core/tile_analysis.h applies
+ * the same rules in its single backward scan.
  *
  * Reduces each row's subset candidates to at most one Prefix according
  * to the paper's pruning rules:
@@ -16,14 +19,14 @@
  * is a subset).
  */
 
-#ifndef PROSPERITY_CORE_PRUNER_H
-#define PROSPERITY_CORE_PRUNER_H
+#ifndef PROSPERITY_REFERENCE_PRUNER_H
+#define PROSPERITY_REFERENCE_PRUNER_H
 
 #include <cstdint>
 #include <vector>
 
 #include "bitmatrix/bit_matrix.h"
-#include "core/detector.h"
+#include "reference/detector.h"
 
 namespace prosperity {
 
@@ -50,6 +53,10 @@ struct PrefixEntry
 /** The pruned spatial information of one tile. */
 using SparsityTable = std::vector<PrefixEntry>;
 
+/** Each entry's prefix index (PrefixEntry::kNoPrefix for roots), the
+ *  shape ProsparsityForest and TileAnalysis::prefixes() share. */
+std::vector<std::int32_t> prefixIndices(const SparsityTable& table);
+
 /** Prefix selection + pattern generation. */
 class Pruner
 {
@@ -66,4 +73,4 @@ class Pruner
 
 } // namespace prosperity
 
-#endif // PROSPERITY_CORE_PRUNER_H
+#endif // PROSPERITY_REFERENCE_PRUNER_H

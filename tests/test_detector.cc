@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
+#include "reference/detector.h"
 #include "sim/rng.h"
 
 namespace prosperity {

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
+#include "reference/detector.h"
+#include "reference/dispatcher.h"
 #include "sim/rng.h"
 
 namespace prosperity {

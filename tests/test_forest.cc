@@ -7,8 +7,9 @@
 
 #include <algorithm>
 
-#include "core/detector.h"
 #include "core/forest.h"
+#include "reference/detector.h"
+#include "reference/pruner.h"
 #include "sim/rng.h"
 
 namespace prosperity {
@@ -25,7 +26,7 @@ TEST(Forest, PaperExampleStructure)
     const BitMatrix tile = BitMatrix::fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
     const SparsityTable table = pruneTile(tile);
-    const ProsparsityForest forest(table);
+    const ProsparsityForest forest(prefixIndices(table));
     EXPECT_TRUE(forest.isAcyclic());
     // Row 2's prefix is Row 1; Rows 4->1, 5->4 (see pruner tests), so
     // Row 1 has children {2, 4} and Row 4 has child {5}.
@@ -40,7 +41,7 @@ TEST(Forest, RootsAreRowsWithoutPrefix)
 {
     const BitMatrix tile = BitMatrix::fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
-    const ProsparsityForest forest(pruneTile(tile));
+    const ProsparsityForest forest(prefixIndices(pruneTile(tile)));
     // Row 0 (1010) reuses Row 3 (0010) — the 3 -> 0 edge of Fig. 3 (b).
     // Row 1 has no subset and Row 3 has a single spike, so those two
     // are the roots.
@@ -54,7 +55,7 @@ TEST(Forest, DepthOfChain)
     // EM chain 0 -> 1 -> 2 -> 3 gives depth 4.
     const BitMatrix tile = BitMatrix::fromStrings({
         "1100", "1100", "1100", "1100"});
-    const ProsparsityForest forest(pruneTile(tile));
+    const ProsparsityForest forest(prefixIndices(pruneTile(tile)));
     EXPECT_EQ(forest.depth(), 4u);
     EXPECT_EQ(forest.treeCount(), 1u);
 }
@@ -63,7 +64,7 @@ TEST(Forest, SingletonNodesHaveDepthOne)
 {
     const BitMatrix tile = BitMatrix::fromStrings({
         "1000", "0100", "0010"});
-    const ProsparsityForest forest(pruneTile(tile));
+    const ProsparsityForest forest(prefixIndices(pruneTile(tile)));
     EXPECT_EQ(forest.depth(), 1u);
     EXPECT_EQ(forest.treeCount(), 3u);
 }
@@ -75,7 +76,7 @@ TEST(Forest, BfsOrderIsTopological)
         BitMatrix tile(128, 16);
         tile.randomize(rng, 0.25);
         const SparsityTable table = pruneTile(tile);
-        const ProsparsityForest forest(table);
+        const ProsparsityForest forest(prefixIndices(table));
         const auto order = forest.bfsOrder();
         ASSERT_EQ(order.size(), tile.rows());
 
@@ -98,7 +99,7 @@ TEST(Forest, AlwaysAcyclicOnRandomTiles)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(96, 16);
         tile.randomize(rng, 0.15 + 0.03 * trial);
-        const ProsparsityForest forest(pruneTile(tile));
+        const ProsparsityForest forest(prefixIndices(pruneTile(tile)));
         EXPECT_TRUE(forest.isAcyclic());
     }
 }

@@ -17,9 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/eyeriss.h"
+#include "core/prosperity_accelerator.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/rng.h"
 
 namespace prosperity::obs {
 namespace {
@@ -344,6 +347,101 @@ TEST_F(ObsTraceTest, EmitSpanRecordsExplicitIntervals)
     EXPECT_EQ(spans[0].end_ns, 250u);
     EXPECT_EQ(spans[1].name, "clamped");
     EXPECT_EQ(spans[1].end_ns, 300u);
+}
+
+TEST_F(ObsTraceTest, SpanArgsAttachToTheInnermostOpenSpan)
+{
+    TraceRecorder& recorder = TraceRecorder::global();
+    addSpanArg("orphan", 1); // no open span: dropped
+    const std::uint64_t id = recorder.mintTraceId();
+    {
+        ScopedTraceContext scope(TraceContext{id, 0});
+        ScopedSpan outer("test", "outer");
+        {
+            ScopedSpan inner("test", "inner");
+            addSpanArg("rows", 256);
+        }
+        addSpanArg("tiles", 3);
+    }
+    const std::vector<TraceSpan> spans = recorder.collect(id);
+    ASSERT_EQ(spans.size(), 2u);
+    ASSERT_EQ(spans[0].args.size(), 1u);
+    EXPECT_STREQ(spans[0].args[0].first, "tiles");
+    EXPECT_EQ(spans[0].args[0].second, 3u);
+    ASSERT_EQ(spans[1].args.size(), 1u);
+    EXPECT_STREQ(spans[1].args[0].first, "rows");
+    EXPECT_EQ(spans[1].args[0].second, 256u);
+
+    // The exporter carries them next to the span ids.
+    const json::Value doc = chromeTraceJson(spans);
+    const json::Value::Array& events = doc.at("traceEvents").asArray();
+    const json::Value& last = events.back();
+    EXPECT_EQ(last.at("name").asString(), "inner");
+    EXPECT_EQ(last.at("args").at("rows").asNumber(), 256.0);
+}
+
+/** The stage/spiking_gemm span of one traced (or untraced) layer. */
+std::vector<TraceSpan>
+spikingGemmSpans(Accelerator& accel, const BitMatrix& spikes, bool traced,
+                 double* cycles)
+{
+    TraceRecorder& recorder = TraceRecorder::global();
+    const std::uint64_t id = recorder.mintTraceId();
+    {
+        ScopedTraceContext scope(TraceContext{traced ? id : 0, 0});
+        const GemmShape shape{spikes.rows(), spikes.cols(), 64};
+        *cycles =
+            accel.runLayer(LayerRequest::spikingGemm(shape, spikes)).cycles;
+    }
+    std::vector<TraceSpan> gemm;
+    for (TraceSpan& span : recorder.collect(id))
+        if (span.name == "spiking_gemm")
+            gemm.push_back(std::move(span));
+    return gemm;
+}
+
+TEST_F(ObsTraceTest, SpikingGemmSpanCarriesFrontEndAttribution)
+{
+    Rng rng(5);
+    BitMatrix spikes(600, 48);
+    spikes.randomize(rng, 0.2);
+
+    ProsperityAccelerator prosperity;
+    double traced_cycles = 0.0;
+    const std::vector<TraceSpan> traced =
+        spikingGemmSpans(prosperity, spikes, true, &traced_cycles);
+    ASSERT_EQ(traced.size(), 1u);
+    std::set<std::string> keys;
+    std::uint64_t tiles = 0;
+    std::uint64_t rows = 0;
+    for (const auto& [key, value] : traced.front().args) {
+        keys.insert(key);
+        if (std::string(key) == "tiles")
+            tiles = value;
+        if (std::string(key) == "rows")
+            rows = value;
+    }
+    const std::set<std::string> expected = {
+        "tiles",      "rows",        "prefix_hits", "exact_matches",
+        "extract_ns", "analysis_ns", "energy_ns"};
+    EXPECT_EQ(keys, expected);
+    EXPECT_EQ(tiles, 3u * 3u); // ceil(600/256) x ceil(48/16)
+    EXPECT_EQ(rows, 3u * 600u);
+
+    // Untraced: no span, no args, and the same modeled result.
+    double untraced_cycles = 0.0;
+    EXPECT_TRUE(
+        spikingGemmSpans(prosperity, spikes, false, &untraced_cycles)
+            .empty());
+    EXPECT_EQ(untraced_cycles, traced_cycles);
+
+    // Designs without the ProSparsity front end attach nothing.
+    EyerissAccelerator eyeriss;
+    double eyeriss_cycles = 0.0;
+    const std::vector<TraceSpan> baseline =
+        spikingGemmSpans(eyeriss, spikes, true, &eyeriss_cycles);
+    ASSERT_EQ(baseline.size(), 1u);
+    EXPECT_TRUE(baseline.front().args.empty());
 }
 
 TEST_F(ObsTraceTest, RingWrapsAroundKeepingTheNewestSpans)

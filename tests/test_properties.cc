@@ -14,12 +14,12 @@
 
 #include <tuple>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
 #include "core/forest.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
 #include "gen/spike_generator.h"
+#include "reference/detector.h"
+#include "reference/dispatcher.h"
+#include "reference/pruner.h"
 #include "sim/rng.h"
 
 namespace prosperity {
@@ -83,7 +83,7 @@ TEST_P(ProsparsityProperties, TileInvariants)
             const SparsityTable table = Pruner().prune(t, detection);
 
             // (3) acyclic forest.
-            const ProsparsityForest forest(table);
+            const ProsparsityForest forest(prefixIndices(table));
             ASSERT_TRUE(forest.isAcyclic());
 
             // (4) disjointness + reconstruction.

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
-#include "core/pruner.h"
+#include "reference/detector.h"
+#include "reference/pruner.h"
 #include "sim/rng.h"
 
 namespace prosperity {

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/export.h"
+#include "analysis/result_json.h"
 #include "obs/trace.h"
 #include "serve/service.h"
 
@@ -167,6 +169,74 @@ TEST_F(ServiceTest, RunSubmitPollFetchMatchesOfflineEngine)
     const HttpResponse again = http.post("/v1/runs", kRunBody);
     EXPECT_EQ(again.status, 200);
     EXPECT_EQ(json::Value::parse(again.body).at("id").asString(), id);
+}
+
+TEST_F(ServiceTest, FinishedReportIsRenderedOnceAndServedVerbatim)
+{
+    startService();
+    HttpClient http = client();
+    const std::string id = submitAndWait(http, "/v1/runs", kRunBody);
+
+    // The first fetch renders the report; later fetches serve the same
+    // bytes, and those bytes are the offline render.
+    const HttpResponse first = http.get("/v1/reports/" + id);
+    ASSERT_EQ(first.status, 200) << first.body;
+    SimulationEngine offline;
+    const RunResult expected = offline.run(
+        simulationJobFromJson(json::Value::parse(kRunBody), "test"));
+    EXPECT_EQ(first.body, runResultToJson(expected).dump(2) + "\n");
+    for (int i = 0; i < 3; ++i) {
+        const HttpResponse again = http.get("/v1/reports/" + id);
+        ASSERT_EQ(again.status, 200);
+        EXPECT_EQ(again.content_type, "application/json");
+        EXPECT_EQ(again.body, first.body) << "fetch " << i;
+    }
+
+    // The CSV view is rendered per fetch, unaffected by the JSON bytes.
+    const HttpResponse csv = http.get("/v1/reports/" + id + "?format=csv");
+    ASSERT_EQ(csv.status, 200);
+    EXPECT_EQ(csv.content_type, "text/csv");
+    std::ostringstream expected_csv;
+    exportRunResults(expected_csv, {expected});
+    EXPECT_EQ(csv.body, expected_csv.str());
+}
+
+TEST_F(ServiceTest, FailedRunIsNotCachedAndCanBeResubmitted)
+{
+    startService();
+    HttpClient http = client();
+    // Accelerator params are checked when the design is built, so this
+    // run is admitted and then fails inside the engine.
+    const std::string body = R"({
+      "accelerator": {"name": "prosperity",
+                      "params": {"sparsity": "banana"}},
+      "workload": {"model": "LeNet5", "dataset": "MNIST"}
+    })";
+    const auto waitFailed = [&](const std::string& id) {
+        for (int i = 0; i < 600; ++i) {
+            const HttpResponse polled = http.get("/v1/jobs/" + id);
+            if (json::Value::parse(polled.body).at("status").asString() ==
+                "failed")
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return false;
+    };
+
+    const HttpResponse submitted = http.post("/v1/runs", body);
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    const std::string id =
+        json::Value::parse(submitted.body).at("id").asString();
+    ASSERT_TRUE(waitFailed(id));
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(http.get("/v1/reports/" + id).status, 500);
+
+    // Same id, fresh record: a 202 again, not the idempotent 200.
+    const HttpResponse retried = http.post("/v1/runs", body);
+    ASSERT_EQ(retried.status, 202) << retried.body;
+    EXPECT_EQ(json::Value::parse(retried.body).at("id").asString(), id);
+    ASSERT_TRUE(waitFailed(id));
+    EXPECT_EQ(http.get("/v1/reports/" + id).status, 500);
 }
 
 TEST_F(ServiceTest, CampaignReportIsByteIdenticalToOfflineRunner)

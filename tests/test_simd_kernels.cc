@@ -24,7 +24,7 @@
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/simd_dispatch.h"
 #include "bitmatrix/word_kernels.h"
-#include "core/detector.h"
+#include "reference/detector.h"
 #include "sim/rng.h"
 
 namespace prosperity {
