@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "sim/rng.h"
@@ -114,6 +115,49 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator)
     for (int i = 0; i < 100; ++i)
         seen.insert(rng());
     EXPECT_GT(seen.size(), 95u);
+}
+
+/**
+ * Reference Binomial(n, p): the per-word loop — one nextBernoulliWord
+ * per 64 trials, the last word masked to the remaining trials. The
+ * batched Rng::nextBinomial must match it count for count and consume
+ * exactly the same draws.
+ */
+std::size_t
+referenceBinomial(Rng& rng, std::size_t n, double p)
+{
+    std::size_t count = 0;
+    while (n >= 64) {
+        count += static_cast<std::size_t>(
+            std::popcount(rng.nextBernoulliWord(p)));
+        n -= 64;
+    }
+    if (n > 0) {
+        const std::uint64_t mask = (1ULL << n) - 1;
+        count += static_cast<std::size_t>(
+            std::popcount(rng.nextBernoulliWord(p) & mask));
+    }
+    return count;
+}
+
+TEST(Rng, BatchedBinomialMatchesPerWordReference)
+{
+    const std::size_t ns[] = {0, 1, 63, 64, 65, 4096, 10000};
+    const double ps[] = {0.0, 1e-9, 0.3, 0.999, 1.0};
+    std::uint64_t seed = 1;
+    for (const std::size_t n : ns)
+        for (const double p : ps) {
+            Rng batched(seed), reference(seed);
+            ++seed;
+            for (int draw = 0; draw < 3; ++draw)
+                EXPECT_EQ(batched.nextBinomial(n, p),
+                          referenceBinomial(reference, n, p))
+                    << "n=" << n << " p=" << p << " draw=" << draw;
+            // Equal follow-on raw draws: both consumed the same stream.
+            for (int i = 0; i < 4; ++i)
+                EXPECT_EQ(batched.next(), reference.next())
+                    << "n=" << n << " p=" << p << " raw draw " << i;
+        }
 }
 
 } // namespace

@@ -100,6 +100,65 @@ TEST(SpikeGenerator, PinnedHashesHoldUnderEveryForcedSimdTier)
     resetSimdTier();
 }
 
+/** A heavily clustered profile: long bank orders, many union rows. */
+ActivationProfile
+clusteredProfile()
+{
+    ActivationProfile p = defaultProfile();
+    p.bit_density = 0.3;
+    p.cluster_fraction = 0.95;
+    p.bank_size = 6;
+    p.union_prob = 0.3;
+    p.noise_insert_prob = 0.01;
+    return p;
+}
+
+/**
+ * Wide-shape pins, recorded from the generator that set every clustered
+ * bit singly: k of one word, several words, more than one 512-bit
+ * stride and a ragged tail; T of 1 and 4; bank orders far longer than
+ * 64 entries, so keep-lengths span many words of binomial draws and
+ * many prefix checkpoints.
+ */
+const struct WidePin
+{
+    bool clustered;
+    std::size_t rows, cols, time_steps;
+    std::uint64_t seed;
+    std::size_t layer;
+    std::uint64_t hash;
+} kWidePins[] = {
+    {false, 64, 64, 1, 42ULL, 2, 0x01c777e2b4599ae6ULL},
+    {false, 96, 576, 4, 7ULL, 5, 0x055d7e7cd2cdca90ULL},
+    {false, 64, 768, 1, 11ULL, 1, 0xff364a8b3f24e4d2ULL},
+    {false, 48, 2304, 4, 3ULL, 8, 0xcca7966dc9822382ULL},
+    {false, 40, 200, 4, 19ULL, 4, 0x7c6b33873e1bb498ULL},
+    {true, 64, 64, 4, 5ULL, 3, 0x5cd07ca3dcbc1cc1ULL},
+    {true, 128, 576, 1, 13ULL, 6, 0x42d8b2e81882fba2ULL},
+    {true, 96, 768, 4, 17ULL, 2, 0x8071bbdcf2535da1ULL},
+    {true, 32, 2304, 1, 23ULL, 7, 0x7803f7efb64bbb0cULL},
+    {true, 40, 1000, 4, 29ULL, 1, 0xe330a171a761b818ULL},
+};
+
+TEST(SpikeGenerator, WideShapesMatchPinnedHashesUnderEveryForcedSimdTier)
+{
+    for (const SimdTier tier : availableSimdTiers()) {
+        ASSERT_TRUE(setSimdTier(tier)) << simdTierName(tier);
+        for (const WidePin& pin : kWidePins) {
+            const SpikeGenerator gen(pin.clustered ? clusteredProfile()
+                                                   : defaultProfile(),
+                                     pin.seed);
+            const BitMatrix m = gen.generate(pin.rows, pin.cols,
+                                             pin.time_steps, pin.layer);
+            EXPECT_EQ(matrixHash(m), pin.hash)
+                << "tier=" << simdTierName(tier) << " " << pin.rows << "x"
+                << pin.cols << " T=" << pin.time_steps
+                << " seed=" << pin.seed;
+        }
+    }
+    resetSimdTier();
+}
+
 TEST(SpikeGenerator, LayersHaveIndependentStreams)
 {
     const SpikeGenerator gen(defaultProfile(), 42);
