@@ -130,14 +130,8 @@ analyzeWorkload(const Workload& workload, const DensityOptions& options,
         ++layer_index;
         if (!layer.isSpikingGemm())
             continue;
-        // Honor a per-layer profile override (declarative models),
-        // matching the runner's generation exactly.
-        const BitMatrix spikes =
-            layer.profile_override
-                ? SpikeGenerator(*layer.profile_override, seed)
-                      .generateLayer(layer, layer_index)
-                : gen.generateLayer(layer, layer_index);
-        total.merge(analyzeMatrix(spikes, options));
+        total.merge(
+            analyzeMatrix(gen.generateLayer(layer, layer_index), options));
     }
     return total;
 }

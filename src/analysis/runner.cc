@@ -18,22 +18,6 @@ hintsFor(const ModelSpec& model)
     return hints;
 }
 
-/**
- * Generate one layer's spike matrix, honoring a per-layer
- * ActivationProfile override (declarative models may pin one). The
- * override generator shares the run seed, so draws stay per-(seed,
- * layer) streams and layer order cannot affect any matrix.
- */
-BitMatrix
-generateLayerSpikes(const SpikeGenerator& gen, const LayerSpec& layer,
-                    std::size_t layer_index, std::uint64_t seed)
-{
-    if (layer.profile_override)
-        return SpikeGenerator(*layer.profile_override, seed)
-            .generateLayer(layer, layer_index);
-    return gen.generateLayer(layer, layer_index);
-}
-
 } // namespace
 
 LayerRequest
@@ -41,9 +25,11 @@ layerRequestFor(const LayerSpec& layer, const BitMatrix* spikes)
 {
     LayerRequest request;
     if (layer.isSpikingGemm()) {
-        PROSPERITY_ASSERT(spikes != nullptr,
-                          "spiking layer needs its spike matrix");
-        request = LayerRequest::spikingGemm(layer.gemm, *spikes);
+        // Without a matrix, only designs that read no spikes can run
+        // it: Accelerator::runLayer panics for the others.
+        request = spikes != nullptr
+                      ? LayerRequest::spikingGemm(layer.gemm, *spikes)
+                      : LayerRequest::spikingGemm(layer.gemm);
         // Output currents feed the spiking neuron array.
         request.lif_updates = static_cast<double>(layer.gemm.m) *
                               static_cast<double>(layer.gemm.n);
@@ -68,16 +54,19 @@ runWorkload(Accelerator& accel, const Workload& workload,
     result.tech = accel.tech();
 
     accel.beginModel(hintsFor(model));
+    // Dense-execution designs never look at the matrix: skip its
+    // generation. Matrices come from per-(seed, layer) streams, so
+    // skipping one shifts no other draw.
+    const bool reads_spikes = accel.readsSpikes();
 
     std::size_t layer_index = 0;
     for (const auto& layer : model.layers) {
         ++layer_index;
         BitMatrix spikes;
-        const bool is_spiking = layer.isSpikingGemm();
-        if (is_spiking) {
+        const bool generate = reads_spikes && layer.isSpikingGemm();
+        if (generate) {
             obs::ScopedSpan span("spikegen", layer.name);
-            spikes = generateLayerSpikes(gen, layer, layer_index,
-                                         options.seed);
+            spikes = gen.generateLayer(layer, layer_index);
         }
 
         // One child span per layer; Accelerator::runLayer adds
@@ -87,7 +76,7 @@ runWorkload(Accelerator& accel, const Workload& workload,
         if (span.active())
             span.setDetail(accel.name());
         const LayerResult lr = accel.runLayer(
-            layerRequestFor(layer, is_spiking ? &spikes : nullptr));
+            layerRequestFor(layer, generate ? &spikes : nullptr));
         result.cycles += lr.cycles;
         result.dense_macs += lr.dense_macs;
         result.dram_bytes += lr.dram_bytes;

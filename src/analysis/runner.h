@@ -87,14 +87,20 @@ operator!=(const RunOptions& a, const RunOptions& b)
 }
 
 /**
- * Build the LayerRequest a workload layer maps to. `spikes` must be the
- * layer's generated spike matrix for spiking-GeMM layers (it may be
- * null for dense/SFU layers) and must outlive the returned request.
+ * Build the LayerRequest a workload layer maps to. For spiking-GeMM
+ * layers `spikes` is the layer's generated spike matrix, or null when
+ * the request is for a design that reads no spikes
+ * (Accelerator::readsSpikes); it is ignored for dense/SFU layers and
+ * must outlive the returned request.
  */
 LayerRequest layerRequestFor(const LayerSpec& layer,
                              const BitMatrix* spikes);
 
-/** Run one workload end to end on `accel`. */
+/**
+ * Run one workload end to end on `accel`. Spike matrices are generated
+ * (one `spikegen` trace span per spiking layer) only when
+ * accel.readsSpikes().
+ */
 RunResult runWorkload(Accelerator& accel, const Workload& workload,
                       const RunOptions& options = {});
 

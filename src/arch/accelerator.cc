@@ -19,6 +19,15 @@ LayerRequest::spikingGemm(const GemmShape& shape, const BitMatrix& spikes)
 }
 
 LayerRequest
+LayerRequest::spikingGemm(const GemmShape& shape)
+{
+    LayerRequest request;
+    request.kind = Kind::kSpikingGemm;
+    request.shape = shape;
+    return request;
+}
+
+LayerRequest
 LayerRequest::denseGemm(const GemmShape& shape)
 {
     LayerRequest request;
@@ -46,6 +55,15 @@ LayerResult::operator+=(const LayerResult& other)
     return *this;
 }
 
+const BitMatrix&
+SpikeOperand::matrix() const
+{
+    if (spikes_ == nullptr)
+        panic("spike matrix read by a design whose readsSpikes() is "
+              "false");
+    return *spikes_;
+}
+
 LayerResult
 Accelerator::runLayer(const LayerRequest& request)
 {
@@ -57,11 +75,18 @@ Accelerator::runLayer(const LayerRequest& request)
     // timeline, and no-ops (no clock read) when tracing is off.
     switch (request.kind) {
     case LayerRequest::Kind::kSpikingGemm: {
-        PROSPERITY_ASSERT(request.spikes != nullptr,
-                          "spiking GeMM request carries no spike matrix");
+        // A design that reads no spikes gets an absent operand even
+        // when the request carries a matrix, so a misdeclared design
+        // fails on every path, not only on runWorkload's.
+        SpikeOperand spikes;
+        if (readsSpikes()) {
+            PROSPERITY_ASSERT(request.spikes != nullptr,
+                              "spiking GeMM request carries no spike "
+                              "matrix");
+            spikes = SpikeOperand(*request.spikes);
+        }
         obs::ScopedSpan span("stage", "spiking_gemm");
-        result.cycles =
-            simulateSpikingGemm(request.shape, *request.spikes, energy);
+        result.cycles = simulateSpikingGemm(request.shape, spikes, energy);
         result.dense_macs = request.shape.denseOps();
         break;
     }

@@ -5,8 +5,8 @@
  * Every modeled design — Prosperity and the baselines of Table IV /
  * Fig. 8 (Eyeriss, PTB, SATO, MINT, Stellar, A100, LoAS) — implements
  * this interface. A simulation step is a pure function: callers build a
- * LayerRequest (GeMM geometry, the spike matrix for spike-consuming
- * designs, SFU/LIF side work) and receive a LayerResult *by value* —
+ * LayerRequest (GeMM geometry, the spike matrix for designs that read
+ * spikes, SFU/LIF side work) and receive a LayerResult *by value* —
  * cycles, an energy breakdown, and DRAM traffic. No shared mutable
  * state crosses the call boundary, which is what lets the
  * SimulationEngine in src/analysis run batches across threads.
@@ -58,6 +58,13 @@ struct LayerRequest
     static LayerRequest spikingGemm(const GemmShape& shape,
                                     const BitMatrix& spikes);
 
+    /**
+     * A spiking GeMM without its matrix, for designs that read no
+     * spikes (Accelerator::readsSpikes() is false); runLayer panics if
+     * any other design is handed one.
+     */
+    static LayerRequest spikingGemm(const GemmShape& shape);
+
     /** A dense (direct-coded) GeMM. */
     static LayerRequest denseGemm(const GemmShape& shape);
 
@@ -83,6 +90,28 @@ struct LayerResult
     LayerResult& operator+=(const LayerResult& other);
 };
 
+/**
+ * The left operand runLayer hands to Accelerator::simulateSpikingGemm:
+ * the request's spike matrix for a design that reads spikes, absent
+ * for one that declares it does not. Reading an absent operand panics,
+ * so a design that misdeclares itself fails loudly instead of
+ * computing on a stale or empty matrix.
+ */
+class SpikeOperand
+{
+  public:
+    /** An absent operand. */
+    SpikeOperand() = default;
+
+    explicit SpikeOperand(const BitMatrix& spikes) : spikes_(&spikes) {}
+
+    /** The spike matrix; panics when the operand is absent. */
+    const BitMatrix& matrix() const;
+
+  private:
+    const BitMatrix* spikes_ = nullptr;
+};
+
 /** Abstract accelerator cost model. */
 class Accelerator
 {
@@ -105,6 +134,14 @@ class Accelerator
      * (Prosperity's "other", the A100's board power) return 0.
      */
     virtual double staticPjPerCycle() const { return 0.0; }
+
+    /**
+     * Whether the spiking-GeMM model reads the spike matrix. Designs
+     * that model dense execution (Eyeriss, the A100) return false: the
+     * workload runner then skips generating their matrices, and
+     * runLayer hands them an absent SpikeOperand.
+     */
+    virtual bool readsSpikes() const { return true; }
 
     /** Clock/technology (all designs share 500 MHz / 28 nm). */
     virtual Tech tech() const { return Tech{}; }
@@ -131,11 +168,11 @@ class Accelerator
   protected:
     /**
      * Simulate one spiking GeMM of `shape` whose left operand is
-     * `spikes`; returns cycles and charges energy into the
-     * request-local model.
+     * `spikes` (absent unless readsSpikes()); returns cycles and
+     * charges energy into the request-local model.
      */
     virtual double simulateSpikingGemm(const GemmShape& shape,
-                                       const BitMatrix& spikes,
+                                       const SpikeOperand& spikes,
                                        EnergyModel& energy) = 0;
 
     /**

@@ -53,10 +53,9 @@ A100Accelerator::kernelCycles(const GemmShape& shape, EnergyModel& energy)
 
 double
 A100Accelerator::simulateSpikingGemm(const GemmShape& shape,
-                                     const BitMatrix& spikes,
+                                     const SpikeOperand& /*spikes*/,
                                      EnergyModel& energy)
 {
-    (void)spikes; // the GPU executes densely regardless of sparsity
     return kernelCycles(shape, energy);
 }
 

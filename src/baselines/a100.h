@@ -24,12 +24,15 @@ class A100Accelerator : public Accelerator
     std::size_t numPes() const override { return 6912; } // CUDA cores
     double areaMm2() const override;
 
+    /** The GPU executes densely regardless of sparsity. */
+    bool readsSpikes() const override { return false; }
+
     /** Utilization the tensor cores reach for a kernel of this shape. */
     static double utilization(const GemmShape& shape);
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
     double simulateDenseGemm(const GemmShape& shape,
                              EnergyModel& energy) override;

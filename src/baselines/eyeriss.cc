@@ -21,10 +21,9 @@ EyerissAccelerator::areaMm2() const
 
 double
 EyerissAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                        const BitMatrix& spikes,
+                                        const SpikeOperand& /*spikes*/,
                                         EnergyModel& energy)
 {
-    (void)spikes; // dense processing ignores the spike pattern
     const double macs = shape.denseOps();
     energy.charge("processor", energy.params().pe_mac8_pj, macs);
     // Dense designs stream full-width activations, not packed bits.

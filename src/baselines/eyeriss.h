@@ -23,9 +23,12 @@ class EyerissAccelerator : public Accelerator
 
     double staticPjPerCycle() const override;
 
+    /** Dense processing ignores the spike pattern. */
+    bool readsSpikes() const override { return false; }
+
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 };
 

@@ -101,11 +101,11 @@ LoasAccelerator::maskFor(std::size_t k, std::size_t n)
 
 double
 LoasAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                     const BitMatrix& spikes,
+                                     const SpikeOperand& spikes,
                                      EnergyModel& energy)
 {
     const BitMatrix& mask = maskFor(shape.k, shape.n);
-    const double ops = Loas::dualSideOps(spikes, mask);
+    const double ops = Loas::dualSideOps(spikes.matrix(), mask);
     energy.charge("processor", energy.params().pe_add8_pj, ops);
     energy.charge("buffer", 0.45, ops); // gated operand fetches
 

@@ -79,7 +79,7 @@ class LoasAccelerator : public Accelerator
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 
   private:

@@ -15,10 +15,10 @@ MintAccelerator::numPes() const
 
 double
 MintAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                     const BitMatrix& spikes,
+                                     const SpikeOperand& spikes,
                                      EnergyModel& energy)
 {
-    const double bit_ops = static_cast<double>(spikes.popcount()) *
+    const double bit_ops = static_cast<double>(spikes.matrix().popcount()) *
                            static_cast<double>(shape.n);
     energy.charge("processor", energy.params().pe_add2_pj, bit_ops);
     energy.charge("buffer", 0.25, bit_ops); // 2-bit operand fetches

@@ -52,10 +52,10 @@ PtbAccelerator::structuredOps(const BitMatrix& spikes,
 
 double
 PtbAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                    const BitMatrix& spikes,
+                                    const SpikeOperand& spikes,
                                     EnergyModel& energy)
 {
-    const double ops = structuredOps(spikes, time_steps_, shape.n);
+    const double ops = structuredOps(spikes.matrix(), time_steps_, shape.n);
     energy.charge("processor", energy.params().pe_add8_pj, ops);
     energy.charge("buffer", 0.55, ops); // weight fetch per add
     const double dram_bytes =

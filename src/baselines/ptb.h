@@ -54,7 +54,7 @@ class PtbAccelerator : public Accelerator
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 
   private:

@@ -46,15 +46,16 @@ SatoAccelerator::paddedOps(const BitMatrix& spikes, std::size_t batch_rows,
 
 double
 SatoAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                     const BitMatrix& spikes,
+                                     const SpikeOperand& spikes,
                                      EnergyModel& energy)
 {
     // Real adds performed follow the bit count; cycles follow the
     // imbalance-padded count.
-    const double bit_ops = static_cast<double>(spikes.popcount()) *
+    const BitMatrix& matrix = spikes.matrix();
+    const double bit_ops = static_cast<double>(matrix.popcount()) *
                            static_cast<double>(shape.n);
     const double padded =
-        paddedOps(spikes, calibration::kSatoBatchRows, shape.n);
+        paddedOps(matrix, calibration::kSatoBatchRows, shape.n);
 
     energy.charge("processor", energy.params().pe_add8_pj, bit_ops);
     energy.charge("buffer", 0.55, bit_ops);

@@ -33,7 +33,7 @@ class SatoAccelerator : public Accelerator
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 };
 

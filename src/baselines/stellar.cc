@@ -27,12 +27,12 @@ StellarAccelerator::fsDensity(double bit_density)
 
 double
 StellarAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                        const BitMatrix& spikes,
+                                        const SpikeOperand& spikes,
                                         EnergyModel& energy)
 {
     // FS recoding keeps the same matrix geometry with ~3.5x fewer
     // spikes; apply the measured ratio to the measured bit count.
-    const double fs_ops = static_cast<double>(spikes.popcount()) /
+    const double fs_ops = static_cast<double>(spikes.matrix().popcount()) /
                           calibration::kStellarFsDensityRatio *
                           static_cast<double>(shape.n);
     energy.charge("processor", energy.params().pe_add12_pj, fs_ops);

@@ -34,7 +34,7 @@ class StellarAccelerator : public Accelerator
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 };
 

@@ -195,8 +195,11 @@ BitVector::setBits() const
 {
     std::vector<std::size_t> out;
     out.reserve(popcount());
-    for (std::size_t pos = findFirst(); pos < bits_; pos = findNext(pos))
-        out.push_back(pos);
+    const std::uint64_t* w = data();
+    for (std::size_t i = 0; i < word_count_; ++i)
+        for (std::uint64_t word = w[i]; word != 0; word &= word - 1)
+            out.push_back(i * kWordBits +
+                          static_cast<std::size_t>(std::countr_zero(word)));
     return out;
 }
 

@@ -35,10 +35,10 @@ ProsperityAccelerator::areaMm2() const
 
 double
 ProsperityAccelerator::simulateSpikingGemm(const GemmShape& shape,
-                                           const BitMatrix& spikes,
+                                           const SpikeOperand& spikes,
                                            EnergyModel& energy)
 {
-    last_ = ppu_.runGemm(shape, spikes, &energy);
+    last_ = ppu_.runGemm(shape, spikes.matrix(), &energy);
     noteDramBytes(last_.dram_bytes);
     return last_.cycles;
 }

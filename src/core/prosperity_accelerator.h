@@ -37,7 +37,7 @@ class ProsperityAccelerator : public Accelerator
 
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
-                               const BitMatrix& spikes,
+                               const SpikeOperand& spikes,
                                EnergyModel& energy) override;
 
   private:

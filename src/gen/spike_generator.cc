@@ -8,6 +8,24 @@
 
 namespace prosperity {
 
+namespace {
+
+/** Prefix-checkpoint spacing in the bank orders (see the file comment). */
+constexpr std::size_t kPrefixCheckpointStep = 32;
+
+/**
+ * One bank pattern: its spike set in shuffled order, plus the bitmap of
+ * each prefix of that order whose length is a multiple of
+ * kPrefixCheckpointStep.
+ */
+struct BankEntry
+{
+    std::vector<std::size_t> order;
+    std::vector<BitVector> checkpoints;
+};
+
+} // namespace
+
 SpikeGenerator::SpikeGenerator(ActivationProfile profile, std::uint64_t seed)
     : profile_(profile), seed_(seed)
 {
@@ -56,14 +74,22 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
     // drop out row by row.
     const std::size_t bank_size =
         std::max<std::size_t>(1, profile_.bank_size);
-    std::vector<std::vector<std::size_t>> bank_order(bank_size);
-    for (auto& order : bank_order) {
+    std::vector<BankEntry> bank(bank_size);
+    for (auto& entry : bank) {
         BitVector base(cols);
         base.randomize(rng, base_density);
-        order = base.setBits();
+        entry.order = base.setBits();
         // Fisher-Yates shuffle so chain prefixes are spatially spread.
+        auto& order = entry.order;
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.nextBelow(i)]);
+        // checkpoints[j] holds the bits order[0, (j + 1) * step).
+        BitVector prefix(cols);
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            prefix.set(order[i]);
+            if ((i + 1) % kPrefixCheckpointStep == 0)
+                entry.checkpoints.push_back(prefix);
+        }
     }
 
     const std::size_t positions =
@@ -84,15 +110,21 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
             const bool is_union = rng.nextBool(profile_.union_prob);
             const int parts = is_union ? 2 : 1;
             for (int part = 0; part < parts; ++part) {
-                const auto& order = bank_order[rng.nextBelow(bank_size)];
+                const BankEntry& entry = bank[rng.nextBelow(bank_size)];
                 // Keep-length ~ Binomial(|order|, (1 - drop) / parts),
                 // drawn word-parallel: popcounts of Bernoulli words
                 // instead of |order| scalar coin flips.
                 const double keep_prob = (1.0 - drop) / parts;
                 const std::size_t keep =
-                    rng.nextBinomial(order.size(), keep_prob);
-                for (std::size_t i = 0; i < keep; ++i)
-                    row.set(order[i]);
+                    rng.nextBinomial(entry.order.size(), keep_prob);
+                // The prefix order[0, keep): the longest checkpoint
+                // within it, then fewer than a step of single bits.
+                const std::size_t whole = keep / kPrefixCheckpointStep;
+                if (whole > 0)
+                    row |= entry.checkpoints[whole - 1];
+                for (std::size_t i = whole * kPrefixCheckpointStep;
+                     i < keep; ++i)
+                    row.set(entry.order[i]);
             }
             // Stray spikes: rare uncorrelated firings that perturb the
             // cluster structure (and limit how wide a TCAM window can
@@ -118,6 +150,12 @@ BitMatrix
 SpikeGenerator::generateLayer(const LayerSpec& layer,
                               std::size_t layer_index) const
 {
+    // A per-layer override keeps this generator's seed, so draws stay
+    // per-(seed, layer) streams whichever profile a layer uses.
+    if (layer.profile_override)
+        return SpikeGenerator(*layer.profile_override, seed_)
+            .generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
+                      layer_index);
     return generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
                     layer_index);
 }

@@ -16,14 +16,27 @@
  *     with probability `temporal_repeat`.
  *
  * All draws are made from per-(seed, layer) streams so a layer's matrix
- * is identical regardless of the order layers are simulated in. Draws
- * are word-batched: i.i.d. rows and bank base patterns are filled 64
- * bits per batch (BitVector::randomize / Rng::nextBernoulliWord) and
- * clustered keep-lengths come from word-parallel binomial draws
- * (Rng::nextBinomial), so generation cost scales with words, not bits.
- * The batched draw sequence is still a pure function of
- * (seed, layer_index, shape, profile) — the determinism contract tested
- * by the fixed-hash pins in tests/test_spike_generator.cc.
+ * is identical regardless of the order layers are simulated in — or
+ * whether other layers are generated at all (the workload runner skips
+ * generation for designs that read no spikes). Generation cost scales
+ * with words, not bits:
+ *
+ *  - i.i.d. rows and bank base patterns are filled a whole row per
+ *    batch (BitVector::randomize / Rng::nextBernoulliWords);
+ *  - clustered keep-lengths are binomial draws (Rng::nextBinomial)
+ *    counted over chunks of Bernoulli words with the dispatched
+ *    popcount kernel;
+ *  - a clustered row is a keep-length prefix of one bank entry's
+ *    shuffled spike order, so each entry precomputes the bitmap of
+ *    every prefix whose length is a multiple of a fixed checkpoint
+ *    step. A row ORs in the longest checkpoint within its keep-length
+ *    and sets fewer than a step of single bits, instead of setting
+ *    every kept bit.
+ *
+ * None of this changes a drawn value or the draw order: the output is
+ * a pure function of (seed, layer_index, shape, profile) — the
+ * determinism contract tested by the fixed-hash pins in
+ * tests/test_spike_generator.cc, under every SIMD tier.
  */
 
 #ifndef PROSPERITY_GEN_SPIKE_GENERATOR_H
@@ -55,7 +68,12 @@ class SpikeGenerator
                        std::size_t time_steps,
                        std::size_t layer_index) const;
 
-    /** Generate the activation of one lowered layer. */
+    /**
+     * Generate the activation of one lowered layer. A layer that pins
+     * its own ActivationProfile (LayerSpec::profile_override, from
+     * declarative models) is generated from that profile under this
+     * generator's seed; every other layer uses profile().
+     */
     BitMatrix generateLayer(const LayerSpec& layer,
                             std::size_t layer_index) const;
 

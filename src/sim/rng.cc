@@ -1,7 +1,10 @@
 #include "rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+
+#include "bitmatrix/simd_dispatch.h"
 
 namespace prosperity {
 
@@ -54,11 +57,13 @@ Rng::nextBelow(std::uint64_t bound)
 {
     if (bound == 0)
         return 0;
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
+    // Lemire-style rejection to avoid modulo bias: reject draws below
+    // 2^64 mod bound. That threshold is itself below bound, so a draw
+    // of at least bound is accepted without computing it; the second
+    // division only runs in the rare r < bound case.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= -bound % bound)
             return r % bound;
     }
 }
@@ -170,16 +175,23 @@ Rng::nextBernoulliWords(std::uint64_t* dst, std::size_t nwords,
 std::size_t
 Rng::nextBinomial(std::size_t n, double p)
 {
+    // Chunks of trial words through the register-held batch loop, each
+    // counted by the dispatched popcount kernel (the portable build has
+    // no popcount instruction, so a per-word std::popcount is a libgcc
+    // call). The draws are those of ceil(n / 64) nextBernoulliWord(p)
+    // calls in order; the last word is masked to the n % 64 remaining
+    // trials.
+    constexpr std::size_t kChunkWords = 64;
+    std::uint64_t words[kChunkWords];
     std::size_t count = 0;
-    while (n >= 64) {
-        count += static_cast<std::size_t>(
-            std::popcount(nextBernoulliWord(p)));
-        n -= 64;
-    }
-    if (n > 0) {
-        const std::uint64_t mask = (1ULL << n) - 1;
-        count += static_cast<std::size_t>(
-            std::popcount(nextBernoulliWord(p) & mask));
+    while (n > 0) {
+        const std::size_t trials = std::min(n, kChunkWords * 64);
+        const std::size_t nwords = (trials + 63) / 64;
+        nextBernoulliWords(words, nwords, p);
+        if (trials % 64 != 0)
+            words[nwords - 1] &= (1ULL << (trials % 64)) - 1;
+        count += simdOps().popcountWords(words, nwords);
+        n -= trials;
     }
     return count;
 }

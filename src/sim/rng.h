@@ -71,9 +71,13 @@ class Rng
                             double p);
 
     /**
-     * Binomial(n, p) draw via popcounts of nextBernoulliWord batches:
-     * exactly the number of successes in n Bernoulli(p) trials, at
-     * ~kBernoulliBits/64 raw draws per trial word.
+     * Binomial(n, p) draw via popcounts of Bernoulli(p) words: exactly
+     * the number of successes in n Bernoulli(p) trials, at
+     * ~kBernoulliBits/64 raw draws per trial word. The words are drawn
+     * in chunks through nextBernoulliWords, so for any n the draws (and
+     * the stream state left behind) equal ceil(n / 64) successive
+     * nextBernoulliWord(p) calls; tests/test_rng.cc pins it against
+     * that per-word loop.
      */
     std::size_t nextBinomial(std::size_t n, double p);
 

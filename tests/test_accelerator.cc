@@ -2,7 +2,8 @@
  * @file
  * Tests for the Accelerator base-class behaviour every design inherits:
  * the value-typed runLayer entry point, dense-GeMM fallback, SFU model,
- * LIF energy, and the shared DRAM traffic helper.
+ * LIF energy, the shared DRAM traffic helper, and the spike operand
+ * contract between readsSpikes() and simulateSpikingGemm.
  */
 
 #include <gtest/gtest.h>
@@ -30,10 +31,28 @@ class StubAccelerator : public Accelerator
 
   protected:
     double
-    simulateSpikingGemm(const GemmShape& shape, const BitMatrix&,
+    simulateSpikingGemm(const GemmShape& shape, const SpikeOperand&,
                         EnergyModel& energy) override
     {
         return simulateDenseGemm(shape, energy);
+    }
+};
+
+/**
+ * A misdeclared design: it says it reads no spikes, yet its spiking
+ * GeMM model counts them.
+ */
+class MisdeclaredAccelerator : public StubAccelerator
+{
+  public:
+    bool readsSpikes() const override { return false; }
+
+  protected:
+    double
+    simulateSpikingGemm(const GemmShape&, const SpikeOperand& spikes,
+                        EnergyModel&) override
+    {
+        return static_cast<double>(spikes.matrix().popcount());
     }
 };
 
@@ -80,6 +99,32 @@ TEST(AcceleratorDefaults, SpikingGemmRoutesThroughOverride)
         stub.runLayer(LayerRequest::spikingGemm(shape, spikes));
     EXPECT_GT(r.cycles, 0.0);
     EXPECT_DOUBLE_EQ(r.dense_macs, shape.denseOps());
+}
+
+TEST(AcceleratorDefaults, DesignsReadSpikesByDefault)
+{
+    EXPECT_TRUE(StubAccelerator{}.readsSpikes());
+}
+
+TEST(AcceleratorDeathTest, ReadingDesignWithoutSpikeMatrixPanics)
+{
+    StubAccelerator stub;
+    EXPECT_DEATH(stub.runLayer(LayerRequest::spikingGemm(GemmShape{8, 8, 8})),
+                 "carries no spike matrix");
+}
+
+TEST(AcceleratorDeathTest, MisdeclaredDesignTouchingSpikesPanics)
+{
+    // The operand is absent even when the request carries a matrix, so
+    // the misdeclaration fails on every path — never a silent compute
+    // on a stale or empty matrix.
+    MisdeclaredAccelerator design;
+    const BitMatrix spikes(8, 8);
+    const GemmShape shape{8, 8, 8};
+    EXPECT_DEATH(design.runLayer(LayerRequest::spikingGemm(shape, spikes)),
+                 "readsSpikes\\(\\) is false");
+    EXPECT_DEATH(design.runLayer(LayerRequest::spikingGemm(shape)),
+                 "readsSpikes\\(\\) is false");
 }
 
 TEST(AcceleratorDefaults, ResultsAreIndependentValues)

@@ -17,7 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/runner.h"
+#include "baselines/a100.h"
 #include "baselines/eyeriss.h"
+#include "baselines/ptb.h"
 #include "core/prosperity_accelerator.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -442,6 +445,50 @@ TEST_F(ObsTraceTest, SpikingGemmSpanCarriesFrontEndAttribution)
         spikingGemmSpans(eyeriss, spikes, true, &eyeriss_cycles);
     ASSERT_EQ(baseline.size(), 1u);
     EXPECT_TRUE(baseline.front().args.empty());
+}
+
+TEST_F(ObsTraceTest, SpikegenSpansOnlyForDesignsThatReadSpikes)
+{
+    // Dense-execution designs skip generation entirely; spike readers
+    // generate (and trace) each spiking layer's matrix exactly once.
+    const Workload workload = makeWorkload("LeNet5", "MNIST");
+    std::size_t spiking_layers = 0;
+    for (const LayerSpec& layer : workload.buildModel().layers)
+        if (layer.isSpikingGemm())
+            ++spiking_layers;
+    ASSERT_GT(spiking_layers, 0u);
+
+    EyerissAccelerator eyeriss;
+    A100Accelerator a100;
+    PtbAccelerator ptb;
+    ProsperityAccelerator prosperity;
+    const struct
+    {
+        Accelerator* accel;
+        std::size_t spikegen_spans;
+    } cases[] = {{&eyeriss, 0},
+                 {&a100, 0},
+                 {&ptb, spiking_layers},
+                 {&prosperity, spiking_layers}};
+    TraceRecorder& recorder = TraceRecorder::global();
+    for (const auto& c : cases) {
+        const std::uint64_t id = recorder.mintTraceId();
+        {
+            ScopedTraceContext scope(TraceContext{id, 0});
+            runWorkload(*c.accel, workload);
+        }
+        std::size_t spikegen = 0;
+        std::size_t layers = 0;
+        for (const TraceSpan& span : recorder.collect(id)) {
+            if (std::string(span.category) == "spikegen")
+                ++spikegen;
+            if (std::string(span.category) == "layer")
+                ++layers;
+        }
+        EXPECT_EQ(spikegen, c.spikegen_spans) << c.accel->name();
+        EXPECT_EQ(layers, workload.buildModel().layers.size())
+            << c.accel->name();
+    }
 }
 
 TEST_F(ObsTraceTest, RingWrapsAroundKeepingTheNewestSpans)

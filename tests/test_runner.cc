@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/runner.h"
+#include "baselines/a100.h"
 #include "baselines/eyeriss.h"
 #include "baselines/ptb.h"
 #include "core/prosperity_accelerator.h"
@@ -105,6 +106,82 @@ TEST(GeometricMean, Values)
     EXPECT_DOUBLE_EQ(geometricMean({8.0}), 8.0);
     EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
     EXPECT_NEAR(geometricMean({2.0, 2.0, 2.0}), 2.0, 1e-12);
+}
+
+/** `Base` with spike generation forced back on: the runner generates
+ *  every spiking layer's matrix and runLayer hands it to the design. */
+template <typename Base>
+class GeneratingDesign : public Base
+{
+  public:
+    bool readsSpikes() const override { return true; }
+};
+
+void
+expectBitwiseEqual(const RunResult& a, const RunResult& b)
+{
+    EXPECT_EQ(a.accelerator, b.accelerator);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dense_macs, b.dense_macs);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    ASSERT_EQ(a.energy.breakdown().size(), b.energy.breakdown().size());
+    for (const auto& [component, pj] : a.energy.breakdown())
+        EXPECT_EQ(pj, b.energy.componentPj(component)) << component;
+}
+
+TEST(Runner, SkippedGenerationLeavesDenseDesignsBitwiseUnchanged)
+{
+    for (const Workload& w : {makeWorkload("LeNet5", "MNIST"),
+                              makeWorkload("SpikingBERT", "SST-2")}) {
+        SCOPED_TRACE(w.name());
+        EyerissAccelerator eyeriss;
+        GeneratingDesign<EyerissAccelerator> eyeriss_generating;
+        ASSERT_FALSE(eyeriss.readsSpikes());
+        expectBitwiseEqual(runWorkload(eyeriss, w),
+                           runWorkload(eyeriss_generating, w));
+
+        A100Accelerator a100;
+        GeneratingDesign<A100Accelerator> a100_generating;
+        ASSERT_FALSE(a100.readsSpikes());
+        expectBitwiseEqual(runWorkload(a100, w),
+                           runWorkload(a100_generating, w));
+    }
+}
+
+/** Claims to read no spikes, yet its spiking-GeMM model counts them. */
+class MisdeclaredDesign : public EyerissAccelerator
+{
+  public:
+    bool readsSpikes() const override { return false; }
+
+  protected:
+    double
+    simulateSpikingGemm(const GemmShape&, const SpikeOperand& spikes,
+                        EnergyModel&) override
+    {
+        return static_cast<double>(spikes.matrix().popcount());
+    }
+};
+
+TEST(RunnerDeathTest, MisdeclaredDesignFailsLoudlyInsteadOfReadingNoSpikes)
+{
+    MisdeclaredDesign design;
+    EXPECT_DEATH(runWorkload(design, smallWorkload()),
+                 "readsSpikes\\(\\) is false");
+}
+
+TEST(Runner, SpikingLayerRequestWithoutMatrixCarriesNone)
+{
+    LayerSpec layer;
+    layer.type = LayerType::kLinear;
+    layer.spiking = true;
+    layer.gemm = {16, 16, 16};
+    layer.time_steps = 4;
+    ASSERT_TRUE(layer.isSpikingGemm());
+    const LayerRequest request = layerRequestFor(layer, nullptr);
+    EXPECT_EQ(request.kind, LayerRequest::Kind::kSpikingGemm);
+    EXPECT_EQ(request.spikes, nullptr);
+    EXPECT_GT(request.lif_updates, 0.0);
 }
 
 } // namespace

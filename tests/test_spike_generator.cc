@@ -243,6 +243,24 @@ TEST(SpikeGenerator, GenerateLayerUsesGemmShape)
     EXPECT_EQ(m.cols(), 48u);
 }
 
+TEST(SpikeGenerator, GenerateLayerHonorsProfileOverride)
+{
+    // A layer's pinned profile is generated under the generator's seed
+    // and the layer's own stream; other layers keep the workload's.
+    const SpikeGenerator gen(defaultProfile(), 3);
+    LayerSpec layer;
+    layer.gemm = {96, 200, 10};
+    layer.time_steps = 4;
+    const BitMatrix plain = gen.generateLayer(layer, 5);
+    EXPECT_EQ(plain, gen.generate(96, 200, 4, 5));
+
+    layer.profile_override = clusteredProfile();
+    const BitMatrix pinned = gen.generateLayer(layer, 5);
+    EXPECT_EQ(pinned,
+              SpikeGenerator(clusteredProfile(), 3).generate(96, 200, 4, 5));
+    EXPECT_NE(pinned, plain);
+}
+
 TEST(SpikeGenerator, EmptyShapesAreHandled)
 {
     const SpikeGenerator gen(defaultProfile(), 3);
