@@ -11,7 +11,9 @@
  *    densities (prefixes, popcounts and issue order must agree —
  *    verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
- *    BitVector::randomize, plus a full SpikeGenerator layer;
+ *    BitVector::randomize, plus a full SpikeGenerator layer and every
+ *    spiking layer of the 16 fig8 pairs (one design's generation share
+ *    of a fig8 pass, under the models' own profiles);
  *  - gemm: the functional ProductGemm multiply;
  *  - engine: a LeNet5/MNIST end-to-end run through SimulationEngine.
  *
@@ -26,6 +28,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/engine.h"
@@ -240,6 +243,39 @@ main(int argc, char** argv)
               layer_opts, [&] {
                   const SpikeGenerator gen(benchProfile(0.2), 7);
                   return checksumMatrix(gen.generate(1024, 512, 4, 1));
+              });
+
+        std::vector<std::pair<Workload, ModelSpec>> fig8;
+        double fig8_bits = 0.0;
+        for (const Workload& w : fig8Suite()) {
+            fig8.emplace_back(w, w.buildModel());
+            for (const LayerSpec& layer : fig8.back().second.layers)
+                if (layer.isSpikingGemm())
+                    fig8_bits += static_cast<double>(layer.gemm.m) *
+                                 static_cast<double>(layer.gemm.k);
+        }
+        bench::CaseOptions fig8_opts;
+        fig8_opts.reps = reps(10);
+        fig8_opts.warmup = 1;
+        fig8_opts.items = fig8_bits;
+        h.run("spikegen/fig8_layers", "spikegen",
+              {{"pairs", std::to_string(fig8.size())},
+               {"seed", std::to_string(RunOptions{}.seed)}},
+              fig8_opts, [&] {
+                  std::uint64_t c = 0;
+                  for (const auto& [workload, model] : fig8) {
+                      const SpikeGenerator gen(workload.profile,
+                                               RunOptions{}.seed);
+                      std::size_t layer_index = 0;
+                      for (const LayerSpec& layer : model.layers) {
+                          ++layer_index;
+                          if (layer.isSpikingGemm())
+                              c = c * 0x100000001b3ULL +
+                                  checksumMatrix(gen.generateLayer(
+                                      layer, layer_index));
+                      }
+                  }
+                  return c;
               });
     }
 

@@ -101,29 +101,23 @@ TEST(AcceleratorDefaults, SpikingGemmRoutesThroughOverride)
     EXPECT_DOUBLE_EQ(r.dense_macs, shape.denseOps());
 }
 
-TEST(AcceleratorDefaults, DesignsReadSpikesByDefault)
-{
-    EXPECT_TRUE(StubAccelerator{}.readsSpikes());
-}
-
 TEST(AcceleratorDeathTest, ReadingDesignWithoutSpikeMatrixPanics)
 {
     StubAccelerator stub;
-    EXPECT_DEATH(stub.runLayer(LayerRequest::spikingGemm(GemmShape{8, 8, 8})),
+    const GemmShape shape{8, 8, 8};
+    EXPECT_DEATH(stub.runLayer(LayerRequest::spikingGemm(shape)),
                  "carries no spike matrix");
 }
 
-TEST(AcceleratorDeathTest, MisdeclaredDesignTouchingSpikesPanics)
+TEST(AcceleratorDeathTest, MisdeclaredDesignPanicsEvenWhenHandedSpikes)
 {
     // The operand is absent even when the request carries a matrix, so
-    // the misdeclaration fails on every path — never a silent compute
-    // on a stale or empty matrix.
+    // the misdeclaration fails on every path, not only on the runner's
+    // (test_runner covers that one).
     MisdeclaredAccelerator design;
     const BitMatrix spikes(8, 8);
     const GemmShape shape{8, 8, 8};
     EXPECT_DEATH(design.runLayer(LayerRequest::spikingGemm(shape, spikes)),
-                 "readsSpikes\\(\\) is false");
-    EXPECT_DEATH(design.runLayer(LayerRequest::spikingGemm(shape)),
                  "readsSpikes\\(\\) is false");
 }
 

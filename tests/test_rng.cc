@@ -140,6 +140,42 @@ referenceBinomial(Rng& rng, std::size_t n, double p)
     return count;
 }
 
+/** Reference nextBelow: threshold computed up front on every draw. */
+std::uint64_t
+referenceBelow(Rng& rng, std::uint64_t bound)
+{
+    if (bound == 0)
+        return 0;
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, NextBelowMatchesUpFrontThresholdReference)
+{
+    // Bounds near 2^64 make draws below the bound (the only ones whose
+    // threshold is computed lazily) common, and rejections frequent.
+    const std::uint64_t bounds[] = {0,
+                                    1,
+                                    2,
+                                    7,
+                                    1000,
+                                    (1ULL << 32) + 1,
+                                    (1ULL << 63) + 1,
+                                    3ULL << 62,
+                                    ~0ULL};
+    for (const std::uint64_t bound : bounds) {
+        Rng lazy(bound ^ 0x5eed), reference(bound ^ 0x5eed);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(lazy.nextBelow(bound), referenceBelow(reference, bound))
+                << "bound=" << bound << " draw " << i;
+        EXPECT_EQ(lazy.next(), reference.next()) << "bound=" << bound;
+    }
+}
+
 TEST(Rng, BatchedBinomialMatchesPerWordReference)
 {
     const std::size_t ns[] = {0, 1, 63, 64, 65, 4096, 10000};

@@ -170,19 +170,5 @@ TEST(RunnerDeathTest, MisdeclaredDesignFailsLoudlyInsteadOfReadingNoSpikes)
                  "readsSpikes\\(\\) is false");
 }
 
-TEST(Runner, SpikingLayerRequestWithoutMatrixCarriesNone)
-{
-    LayerSpec layer;
-    layer.type = LayerType::kLinear;
-    layer.spiking = true;
-    layer.gemm = {16, 16, 16};
-    layer.time_steps = 4;
-    ASSERT_TRUE(layer.isSpikingGemm());
-    const LayerRequest request = layerRequestFor(layer, nullptr);
-    EXPECT_EQ(request.kind, LayerRequest::Kind::kSpikingGemm);
-    EXPECT_EQ(request.spikes, nullptr);
-    EXPECT_GT(request.lif_updates, 0.0);
-}
-
 } // namespace
 } // namespace prosperity
