@@ -84,6 +84,7 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.nextBelow(i)]);
         // checkpoints[j] holds the bits order[0, (j + 1) * step).
+        entry.checkpoints.reserve(order.size() / kPrefixCheckpointStep);
         BitVector prefix(cols);
         for (std::size_t i = 0; i < order.size(); ++i) {
             prefix.set(order[i]);
