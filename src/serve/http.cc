@@ -4,6 +4,9 @@
 #include <cctype>
 #include <stdexcept>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include "obs/metrics.h"
 #include "util/socket.h"
 
@@ -212,6 +215,60 @@ struct ConnReader
                 throw std::runtime_error(
                     "connection closed mid-body");
     }
+};
+
+/**
+ * Keeps a server worker on the CPU its connection's requests arrive
+ * from. The server listens on loopback only, so that is the CPU the
+ * client sent from. Pinned there, the worker runs as soon as the
+ * client blocks for the answer, and the answer wakes the client where
+ * it already is. Left free, the worker is often woken on another,
+ * idle CPU, and waking a sleeping (virtual) CPU can cost more than a
+ * short request takes to serve; which of the two happens depends on
+ * thread placement, so short-request latency would differ from one
+ * process to the next. The worker gets its own CPU set back when the
+ * connection ends.
+ */
+class IncomingCpuAffinity
+{
+  public:
+    IncomingCpuAffinity()
+    {
+        CPU_ZERO(&own_);
+        active_ = pthread_getaffinity_np(pthread_self(), sizeof(own_),
+                                         &own_) == 0 &&
+                  CPU_COUNT(&own_) > 1;
+    }
+    IncomingCpuAffinity(const IncomingCpuAffinity&) = delete;
+    IncomingCpuAffinity& operator=(const IncomingCpuAffinity&) = delete;
+
+    ~IncomingCpuAffinity()
+    {
+        if (pinned_ >= 0)
+            pthread_setaffinity_np(pthread_self(), sizeof(own_), &own_);
+    }
+
+    /** Move to the CPU `fd`'s last request came from, if the worker
+     *  may run there and is not there already. */
+    void follow(int fd)
+    {
+        if (!active_)
+            return;
+        const int cpu = net::incomingCpu(fd);
+        if (cpu < 0 || cpu >= CPU_SETSIZE || cpu == pinned_ ||
+            !CPU_ISSET(cpu, &own_))
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0)
+            pinned_ = cpu;
+    }
+
+  private:
+    cpu_set_t own_;
+    bool active_ = false;
+    int pinned_ = -1;
 };
 
 /** Everything the per-request parser can report to the write path. */
@@ -545,6 +602,7 @@ void
 HttpServer::serveConnection(int fd)
 {
     net::Socket sock(fd);
+    IncomingCpuAffinity affinity;
     ConnReader reader{fd, {}, options_.read_timeout_ms, &stopping_};
     // Keep-alive request loop; any parse error answers and closes.
     while (!stopping_) {
@@ -559,6 +617,7 @@ HttpServer::serveConnection(int fd)
             byteCounters().request_bytes.add(outcome.bytes);
         if (outcome.eof)
             return;
+        affinity.follow(fd);
         if (outcome.error_status != 0) {
             const HttpResponse response = HttpResponse::error(
                 outcome.error_status, outcome.error_message);

@@ -6,10 +6,13 @@
  *
  * - **Server**: one acceptor thread plus a fixed worker pool; each
  *   worker serves whole connections (keep-alive request loop) and
- *   hands every parsed request to a single user handler. Headers and
- *   bodies are size-capped, Content-Length bodies and
- *   `Expect: 100-continue` are supported, and malformed requests turn
- *   into structured JSON `400`s without reaching the handler.
+ *   hands every parsed request to a single user handler. While it
+ *   serves a connection a worker runs on the CPU the client sends
+ *   from, so a short request costs no wake-up of another CPU (see
+ *   IncomingCpuAffinity in http.cc). Headers and bodies are
+ *   size-capped, Content-Length bodies and `Expect: 100-continue` are
+ *   supported, and malformed requests turn into structured JSON
+ *   `400`s without reaching the handler.
  * - **Client**: a blocking keep-alive connection for tests, the bench
  *   load generator and scripted clients; reconnects transparently
  *   when the server closed an idle connection.

@@ -116,6 +116,20 @@ waitReadable(int fd, int timeout_ms)
     return ready > 0;
 }
 
+int
+incomingCpu(int fd)
+{
+#ifdef SO_INCOMING_CPU
+    int cpu = -1;
+    socklen_t len = sizeof(cpu);
+    if (::getsockopt(fd, SOL_SOCKET, SO_INCOMING_CPU, &cpu, &len) == 0)
+        return cpu;
+#else
+    (void)fd;
+#endif
+    return -1;
+}
+
 bool
 writeAll(int fd, const void* data, std::size_t size)
 {

@@ -51,6 +51,13 @@ int connectLoopback(std::uint16_t port);
 bool waitReadable(int fd, int timeout_ms);
 
 /**
+ * The CPU that last processed data received on `fd`
+ * (SO_INCOMING_CPU), or -1 where the platform does not say. On a
+ * loopback connection that is the CPU the peer sent from.
+ */
+int incomingCpu(int fd);
+
+/**
  * Write all `size` bytes (SIGPIPE suppressed). Returns false when the
  * peer has gone away (EPIPE / ECONNRESET) — routine during shutdown —
  * and throws std::runtime_error on other errors.

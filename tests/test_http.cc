@@ -3,8 +3,9 @@
  * Tests for the dependency-free HTTP/1.1 layer: loopback round trips,
  * keep-alive connection reuse, concurrent clients, and the
  * malformed-request surface (bad request lines, oversized bodies,
- * Expect: 100-continue) — all against a live server on an ephemeral
- * port, no mocks.
+ * Expect: 100-continue), and where a worker runs while it serves a
+ * connection — all against a live server on an ephemeral port, no
+ * mocks.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,12 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <pthread.h>
+#include <sched.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include "serve/http.h"
 #include "util/json.h"
@@ -276,6 +283,77 @@ TEST(HttpServer, TransferEncodingIsRejected)
         server.port(),
         "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
     EXPECT_EQ(reply.compare(0, 12, "HTTP/1.1 501"), 0) << reply;
+}
+
+/** Answers with the serving worker's thread id and the one CPU it may
+ *  run on (-1 when it may run on several). */
+HttpResponse
+affinityHandler(const HttpRequest&)
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    pthread_getaffinity_np(pthread_self(), sizeof(set), &set);
+    int only = -1;
+    if (CPU_COUNT(&set) == 1)
+        for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+            if (CPU_ISSET(cpu, &set))
+                only = cpu;
+    json::Value root = json::Value::object();
+    root.set("tid", static_cast<double>(::syscall(SYS_gettid)));
+    root.set("cpu", static_cast<double>(only));
+    return HttpResponse::json(200, root);
+}
+
+TEST(HttpServer, WorkerRunsOnItsClientsCpuUntilTheConnectionEnds)
+{
+#ifndef SO_INCOMING_CPU
+    GTEST_SKIP() << "no SO_INCOMING_CPU on this platform";
+#endif
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+    std::vector<int> cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 4; ++cpu)
+        if (CPU_ISSET(cpu, &allowed))
+            cpus.push_back(cpu);
+    if (cpus.size() < 2)
+        GTEST_SKIP() << "needs at least two CPUs";
+
+    HttpServer server(testOptions(), affinityHandler);
+    server.start();
+    for (const int cpu : cpus) {
+        std::vector<json::Value> answers;
+        std::thread client_thread([&] {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            if (pthread_setaffinity_np(pthread_self(), sizeof(one),
+                                       &one) != 0)
+                return;
+            HttpClient client(server.port());
+            for (int i = 0; i < 3; ++i)
+                answers.push_back(
+                    json::Value::parse(client.get("/where").body));
+        }); // the client's connection closes as the thread ends
+        client_thread.join();
+        ASSERT_EQ(answers.size(), 3u) << "client could not pin to " << cpu;
+        for (const json::Value& answer : answers)
+            EXPECT_EQ(answer.at("cpu").asNumber(), cpu);
+
+        // With the connection gone the worker may run anywhere again.
+        const auto tid = static_cast<pid_t>(answers[0].at("tid").asNumber());
+        cpu_set_t worker;
+        for (int i = 0; i < 500; ++i) {
+            CPU_ZERO(&worker);
+            ASSERT_EQ(sched_getaffinity(tid, sizeof(worker), &worker), 0);
+            if (CPU_EQUAL(&worker, &allowed))
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        EXPECT_TRUE(CPU_EQUAL(&worker, &allowed))
+            << "worker " << tid << " kept " << CPU_COUNT(&worker)
+            << " of " << CPU_COUNT(&allowed) << " CPUs";
+    }
 }
 
 } // namespace
