@@ -94,19 +94,6 @@ BitMatrix::appendRows(const BitMatrix& other)
     rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
 }
 
-BitMatrix
-BitMatrix::transpose() const
-{
-    BitMatrix out(cols_, rows());
-    for (std::size_t r = 0; r < rows(); ++r) {
-        const BitVector& row = rows_[r];
-        for (std::size_t c = row.findFirst(); c < cols_;
-             c = row.findNext(c))
-            out.set(c, r);
-    }
-    return out;
-}
-
 void
 BitMatrix::randomize(Rng& rng, double density)
 {

@@ -81,9 +81,6 @@ class BitMatrix
     /** Append the rows of `other` (same column count) below this matrix. */
     void appendRows(const BitMatrix& other);
 
-    /** Transposed copy (cols x rows). */
-    BitMatrix transpose() const;
-
     /** Fill with Bernoulli(p) bits. */
     void randomize(Rng& rng, double density);
 

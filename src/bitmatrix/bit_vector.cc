@@ -203,13 +203,6 @@ BitVector::setBits() const
     return out;
 }
 
-std::size_t
-BitVector::andPopcount(const BitVector& other) const
-{
-    PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
-    return simdOps().andPopcountWords(data(), other.data(), queryLen());
-}
-
 BitVector
 BitVector::operator&(const BitVector& other) const
 {

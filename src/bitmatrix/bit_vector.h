@@ -153,9 +153,6 @@ class BitVector
     /** Indices of all set bits in ascending order (the spike set S_i). */
     std::vector<std::size_t> setBits() const;
 
-    /** Popcount of (this & other) without materializing the AND. */
-    std::size_t andPopcount(const BitVector& other) const;
-
     BitVector operator&(const BitVector& other) const;
     BitVector operator|(const BitVector& other) const;
     BitVector operator^(const BitVector& other) const;

@@ -67,11 +67,6 @@ struct SimdOps
     std::size_t (*popcountWords)(const std::uint64_t* words,
                                  std::size_t n);
 
-    /** popcount(a & b) over `n` words without materializing the AND. */
-    std::size_t (*andPopcountWords)(const std::uint64_t* a,
-                                    const std::uint64_t* b,
-                                    std::size_t n);
-
     /**
      * Subset test: (sub & ~super) == 0, early-exiting one cache line
      * (8 words) at a time in the vector tiers.

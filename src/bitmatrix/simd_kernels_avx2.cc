@@ -67,26 +67,6 @@ popcountAvx2(const std::uint64_t* words, std::size_t n)
     return count;
 }
 
-std::size_t
-andPopcountAvx2(const std::uint64_t* a, const std::uint64_t* b,
-                std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        acc = _mm256_add_epi64(acc,
-                               popcountLanes(_mm256_and_si256(va, vb)));
-    }
-    std::size_t count = static_cast<std::size_t>(horizontalSum(acc));
-    for (; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return count;
-}
-
 bool
 isSubsetAvx2(const std::uint64_t* sub, const std::uint64_t* super,
              std::size_t n)
@@ -249,9 +229,9 @@ const SimdOps&
 simdOpsAvx2()
 {
     static const SimdOps ops = {
-        SimdTier::kAvx2, "avx2",       popcountAvx2,
-        andPopcountAvx2, isSubsetAvx2, anyAvx2,
-        signatureAvx2,   signatureScanAvx2,
+        SimdTier::kAvx2, "avx2",        popcountAvx2,
+        isSubsetAvx2,    anyAvx2,       signatureAvx2,
+        signatureScanAvx2,
     };
     return ops;
 }

@@ -39,24 +39,6 @@ popcountAvx512(const std::uint64_t* words, std::size_t n)
     return count;
 }
 
-std::size_t
-andPopcountAvx512(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                           _mm512_loadu_si512(b + i));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-    }
-    std::size_t count =
-        static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
-    for (; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return count;
-}
-
 bool
 isSubsetAvx512(const std::uint64_t* sub, const std::uint64_t* super,
                std::size_t n)
@@ -150,9 +132,9 @@ const SimdOps&
 simdOpsAvx512()
 {
     static const SimdOps ops = {
-        SimdTier::kAvx512, "avx512",       popcountAvx512,
-        andPopcountAvx512, isSubsetAvx512, anyAvx512,
-        signatureAvx512,   signatureScanAvx512,
+        SimdTier::kAvx512, "avx512",        popcountAvx512,
+        isSubsetAvx512,    anyAvx512,       signatureAvx512,
+        signatureScanAvx512,
     };
     return ops;
 }

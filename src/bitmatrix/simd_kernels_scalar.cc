@@ -18,13 +18,6 @@ popcountScalar(const std::uint64_t* words, std::size_t n)
     return popcountWords(words, n);
 }
 
-std::size_t
-andPopcountScalar(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t n)
-{
-    return andPopcountWords(a, b, n);
-}
-
 bool
 isSubsetScalar(const std::uint64_t* sub, const std::uint64_t* super,
                std::size_t n)
@@ -58,8 +51,8 @@ simdOpsScalar()
 {
     static const SimdOps ops = {
         SimdTier::kScalar, "scalar",        popcountScalar,
-        andPopcountScalar, isSubsetScalar,  anyScalar,
-        signatureScalar,   signatureScanScalar,
+        isSubsetScalar,    anyScalar,       signatureScalar,
+        signatureScanScalar,
     };
     return ops;
 }

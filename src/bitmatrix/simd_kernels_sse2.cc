@@ -34,13 +34,6 @@ popcountSse2(const std::uint64_t* words, std::size_t n)
     return popcountWords(words, n);
 }
 
-std::size_t
-andPopcountSse2(const std::uint64_t* a, const std::uint64_t* b,
-                std::size_t n)
-{
-    return andPopcountWords(a, b, n);
-}
-
 bool
 isSubsetSse2(const std::uint64_t* sub, const std::uint64_t* super,
              std::size_t n)
@@ -140,8 +133,8 @@ simdOpsSse2()
 {
     static const SimdOps ops = {
         SimdTier::kSse2, "sse2",       popcountSse2,
-        andPopcountSse2, isSubsetSse2, anySse2,
-        signatureSse2,   signatureScanSse2,
+        isSubsetSse2,    anySse2,      signatureSse2,
+        signatureScanSse2,
     };
     return ops;
 }

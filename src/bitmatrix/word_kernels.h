@@ -4,8 +4,8 @@
  *
  * These are the innermost loops of the simulator: every hot path that
  * touches spike bits (the tile front end's subset search and popcounts,
- * the functional executor's XOR, the density analyses) bottoms out here, operating on whole 64-bit words
- * instead of individual bits. The functions are deliberately free of
+ * the density analyses) bottoms out here, operating on whole 64-bit
+ * words instead of individual bits. The functions are deliberately free of
  * class state so they can run over raw `BitVector::words()` spans and
  * so future SIMD specializations have a single place to land.
  *
@@ -31,6 +31,21 @@
 
 namespace prosperity {
 
+/**
+ * Set bits of one word, branch-free (SWAR). Unlike `std::popcount`,
+ * this compiles to inline arithmetic in a baseline x86-64 TU, which
+ * has no POPCNT instruction and would otherwise call libgcc's
+ * `__popcountdi2` once per word.
+ */
+constexpr unsigned
+popcount64(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
+}
+
 /** Total set bits across `n` words. */
 inline std::size_t
 popcountWords(const std::uint64_t* words, std::size_t n)
@@ -38,17 +53,6 @@ popcountWords(const std::uint64_t* words, std::size_t n)
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
         count += static_cast<std::size_t>(std::popcount(words[i]));
-    return count;
-}
-
-/** popcount(a & b) over `n` words without materializing the AND. */
-inline std::size_t
-andPopcountWords(const std::uint64_t* a, const std::uint64_t* b,
-                 std::size_t n)
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
     return count;
 }
 

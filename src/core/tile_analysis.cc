@@ -1,9 +1,9 @@
 #include "tile_analysis.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "bitmatrix/simd_dispatch.h"
+#include "bitmatrix/word_kernels.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -29,8 +29,7 @@ TileAnalysis::TileAnalysis(const BitMatrix& tile)
     for (std::size_t i = 0; i < m; ++i) {
         const std::uint64_t* w = tile.row(i).paddedWords().data();
         const std::size_t pc =
-            width_ == 1 ? static_cast<std::size_t>(std::popcount(w[0]))
-                        : ops.popcountWords(w, width_);
+            width_ == 1 ? popcount64(w[0]) : ops.popcountWords(w, width_);
         popcount_[i] = static_cast<std::uint32_t>(pc);
         max_pc = std::max(max_pc, pc);
     }

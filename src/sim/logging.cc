@@ -15,7 +15,6 @@ levelName(LogLevel level)
     switch (level) {
       case LogLevel::kInform: return "info";
       case LogLevel::kWarn: return "warn";
-      case LogLevel::kFatal: return "fatal";
       case LogLevel::kPanic: return "panic";
     }
     return "?";
@@ -47,9 +46,7 @@ void
 terminate(LogLevel level, const std::string& msg, const char*, int)
 {
     emit(level, msg);
-    if (level == LogLevel::kPanic)
-        std::abort();
-    std::exit(1);
+    std::abort();
 }
 
 } // namespace detail

@@ -2,10 +2,10 @@
  * @file
  * Status and error reporting for the Prosperity simulator.
  *
- * Follows the gem5 convention: fatal() for user errors (bad configuration,
- * invalid arguments) and panic() for internal invariant violations that
- * indicate a simulator bug. warn()/inform() report conditions without
- * stopping the simulation.
+ * panic() reports an internal invariant violation that indicates a
+ * simulator bug; user errors (bad configuration, invalid arguments) are
+ * typed exceptions thrown at parse time instead. warn()/inform() report
+ * conditions without stopping the simulation.
  */
 
 #ifndef PROSPERITY_SIM_LOGGING_H
@@ -21,13 +21,12 @@ namespace prosperity {
 enum class LogLevel {
     kInform,
     kWarn,
-    kFatal,
     kPanic,
 };
 
 namespace detail {
 
-/** Emit a formatted log record and, for kFatal/kPanic, terminate. */
+/** Emit a formatted log record and abort. */
 [[noreturn]] void terminate(LogLevel level, const std::string& msg,
                             const char* file, int line);
 
@@ -49,19 +48,6 @@ concat(Args&&... args)
 /** Whether inform() messages are printed (default true). */
 void setVerbose(bool verbose);
 bool verbose();
-
-/**
- * Report a condition that ends the simulation due to a user error
- * (bad configuration, impossible parameters). Exits with status 1.
- */
-template <typename... Args>
-[[noreturn]] void
-fatal(Args&&... args)
-{
-    detail::terminate(LogLevel::kFatal,
-                      detail::concat(std::forward<Args>(args)...),
-                      nullptr, 0);
-}
 
 /**
  * Report an internal invariant violation (a simulator bug). Aborts so a

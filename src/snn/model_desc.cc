@@ -231,6 +231,22 @@ symbolicSizeJson(const SymbolicSize& size)
     return json::Value(size.value);
 }
 
+namespace {
+
+/** optionalSize for an input dimension: an empty input would reach
+ *  lowering's non-empty-map assertion, so reject it here. */
+std::size_t
+optionalDimension(const json::Value& object, const char* key,
+                  std::size_t fallback, const std::string& context)
+{
+    const std::size_t size = optionalSize(object, key, fallback, context);
+    if (size == 0)
+        schemaError(context + "." + key, "must be at least 1");
+    return size;
+}
+
+} // namespace
+
 InputConfig
 parseInputConfig(const json::Value& value, const std::string& context)
 {
@@ -240,11 +256,11 @@ parseInputConfig(const json::Value& value, const std::string& context)
                     "seq_len", "num_classes"},
                    context);
     InputConfig in;
-    in.time_steps = optionalSize(value, "time_steps", in.time_steps,
-                                 context);
-    in.channels = optionalSize(value, "channels", in.channels, context);
-    in.height = optionalSize(value, "height", in.height, context);
-    in.width = optionalSize(value, "width", in.width, context);
+    in.time_steps =
+        optionalDimension(value, "time_steps", in.time_steps, context);
+    in.channels = optionalDimension(value, "channels", in.channels, context);
+    in.height = optionalDimension(value, "height", in.height, context);
+    in.width = optionalDimension(value, "width", in.width, context);
     in.seq_len = optionalSize(value, "seq_len", in.seq_len, context);
     in.num_classes = optionalSize(value, "num_classes", in.num_classes,
                                   context);
@@ -304,6 +320,12 @@ parseLayer(const json::Value& value, ActivationProfile base_profile,
             conv.stride == 0)
             schemaError(context, "out_channels, kernel and stride must "
                                  "be positive");
+        // A border at least a kernel wide adds outputs that see only
+        // padding (and can size the layer past any budget).
+        if (conv.padding >= conv.kernel)
+            schemaError(context + ".padding",
+                        "must be less than the kernel (" +
+                            std::to_string(conv.kernel) + ")");
         layer.op = conv;
     } else if (kind == "pool") {
         expectOnlyKeys(value, {"kind", "name", "factor", "global",

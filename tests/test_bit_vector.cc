@@ -142,17 +142,6 @@ TEST(BitVector, FindFirstOnEmptyReturnsSize)
     EXPECT_EQ(v.findFirst(), 70u);
 }
 
-TEST(BitVector, AndPopcountAgainstMaterializedAnd)
-{
-    Rng rng(11);
-    for (int trial = 0; trial < 20; ++trial) {
-        BitVector a(193), b(193);
-        a.randomize(rng, 0.4);
-        b.randomize(rng, 0.4);
-        EXPECT_EQ(a.andPopcount(b), (a & b).popcount());
-    }
-}
-
 TEST(BitVector, BitwiseOperatorsAgreeWithPerBitSemantics)
 {
     Rng rng(5);

@@ -189,7 +189,8 @@ TEST(ModelDesc, GlobalPoolCollapsesNonSquareMapsTo1x1)
 
 TEST(ModelDesc, MalformedDefinitionsFailWithKeyPaths)
 {
-    const auto expectError = [](const char* text, const char* fragment) {
+    const auto expectError = [](const std::string& text,
+                                const std::string& fragment) {
         try {
             ModelDesc::fromJson(json::Value::parse(text));
             FAIL() << "accepted: " << text;
@@ -231,6 +232,25 @@ TEST(ModelDesc, MalformedDefinitionsFailWithKeyPaths)
     expectError(R"({"name": "x", "profile": {"bit_density": "high"},
                     "layers": [{"kind": "pool", "name": "p"}]})",
                 "profile.bit_density");
+    // An empty input once aborted lowering when padding let the kernel
+    // fit it, and a border as wide as the kernel passed validation as a
+    // ~1e16-MAC layer whose edge outputs see only padding.
+    for (const char* key : {"time_steps", "channels", "height", "width"}) {
+        const std::string text =
+            std::string(R"({"name": "x", "input": {")") + key +
+            R"(": 0}, "layers": [{"kind": "conv", "name": "c",
+                "out_channels": 1, "kernel": 5, "padding": 3}]})";
+        expectError(text, std::string("input.") + key +
+                              ": must be at least 1");
+    }
+    for (const char* padding : {"5", "1000000"}) {
+        const std::string text =
+            std::string(R"({"name": "x", "layers": [{"kind": "conv",
+                "name": "c", "out_channels": 1, "kernel": 5,
+                "padding": )") + padding + "}]}";
+        expectError(text,
+                    "layers[0].padding: must be less than the kernel (5)");
+    }
 
     // Geometry errors carry the layer name.
     ModelDesc desc;

@@ -18,6 +18,21 @@ cifarInput(std::size_t classes = 10)
     return in;
 }
 
+TEST(ConvParams, OutputDims)
+{
+    ConvParams p;
+    p.kernel = 3;
+    p.stride = 1;
+    p.padding = 1;
+    EXPECT_EQ(p.outDim(32), 32u); // same padding keeps size
+    p.stride = 2;
+    EXPECT_EQ(p.outDim(32), 16u);
+    p.kernel = 5;
+    p.stride = 1;
+    p.padding = 0;
+    EXPECT_EQ(p.outDim(28), 24u); // LeNet conv2 geometry
+}
+
 TEST(Models, Vgg16HasThirteenConvsAndTwoFcs)
 {
     const ModelSpec m = buildVgg16(cifarInput(100));

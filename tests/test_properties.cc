@@ -93,7 +93,7 @@ TEST_P(ProsparsityProperties, TileInvariants)
                     continue;
                 const BitVector& prefix_row =
                     t.row(static_cast<std::size_t>(e.prefix));
-                ASSERT_EQ(e.pattern.andPopcount(prefix_row), 0u);
+                ASSERT_TRUE((e.pattern & prefix_row).none());
                 ASSERT_EQ(e.pattern | prefix_row, t.row(i));
             }
 
@@ -238,11 +238,6 @@ TEST_P(PaddedStrideProperties, MatrixPathsKeepPaddingZero)
     const BitMatrix t = m.tile(5, 1, 16, cols > 2 ? cols - 2 : cols);
     for (std::size_t r = 0; r < t.rows(); ++r)
         ASSERT_TRUE(paddingIsCanonical(t.row(r))) << "tile row " << r;
-
-    const BitMatrix tr = m.transpose();
-    for (std::size_t r = 0; r < tr.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(tr.row(r)))
-            << "transpose row " << r;
 
     BitMatrix appended(0, cols);
     appended.appendRows(m);

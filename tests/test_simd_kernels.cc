@@ -89,19 +89,6 @@ TEST_P(SimdKernels, PopcountMatchesScalarReference)
     }
 }
 
-TEST_P(SimdKernels, AndPopcountMatchesScalarReference)
-{
-    Rng rng(102);
-    const SimdOps& ops = simdOps();
-    for (const std::size_t n : kWidths) {
-        const auto a = randomWords(rng, n, 0.5);
-        const auto b = randomWords(rng, n, 0.3);
-        EXPECT_EQ(ops.andPopcountWords(a.data(), b.data(), n),
-                  andPopcountWords(a.data(), b.data(), n))
-            << "tier " << tier() << " n=" << n;
-    }
-}
-
 TEST_P(SimdKernels, SubsetMatchesScalarReference)
 {
     Rng rng(103);

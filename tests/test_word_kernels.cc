@@ -23,16 +23,20 @@ TEST(WordKernels, PopcountMatchesScalar)
     EXPECT_EQ(popcountWords(words, 0), 0u);
 }
 
-TEST(WordKernels, AndPopcountMatchesMaterializedAnd)
+TEST(WordKernels, Popcount64MatchesStdPopcount)
 {
-    Rng rng(3);
-    for (int trial = 0; trial < 20; ++trial) {
-        BitVector a(300), b(300);
-        a.randomize(rng, 0.4);
-        b.randomize(rng, 0.4);
-        EXPECT_EQ(andPopcountWords(a.words().data(), b.words().data(),
-                                   a.words().size()),
-                  (a & b).popcount());
+    static_assert(popcount64(0) == 0 && popcount64(~0ULL) == 64);
+    EXPECT_EQ(popcount64(0), 0u);
+    EXPECT_EQ(popcount64(~0ULL), 64u);
+    for (unsigned b = 0; b < 64; ++b) {
+        EXPECT_EQ(popcount64(1ULL << b), 1u) << "bit " << b;
+        EXPECT_EQ(popcount64(~(1ULL << b)), 63u) << "bit " << b;
+    }
+    Rng rng(11);
+    for (int trial = 0; trial < 1000; ++trial) {
+        const std::uint64_t w = rng.next();
+        EXPECT_EQ(popcount64(w), static_cast<unsigned>(std::popcount(w)))
+            << std::hex << w;
     }
 }
 
