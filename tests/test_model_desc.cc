@@ -232,9 +232,9 @@ TEST(ModelDesc, MalformedDefinitionsFailWithKeyPaths)
     expectError(R"({"name": "x", "profile": {"bit_density": "high"},
                     "layers": [{"kind": "pool", "name": "p"}]})",
                 "profile.bit_density");
-    // An empty input once aborted lowering when padding let the kernel
-    // fit it, and a border as wide as the kernel passed validation as a
-    // ~1e16-MAC layer whose edge outputs see only padding.
+    // An empty input reaches lowering's non-empty-map assertion once
+    // padding lets the kernel fit it; a border as wide as the kernel
+    // adds outputs that see only padding (1000000 makes ~1e16 MACs).
     for (const char* key : {"time_steps", "channels", "height", "width"}) {
         const std::string text =
             std::string(R"({"name": "x", "input": {")") + key +
