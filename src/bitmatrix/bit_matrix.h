@@ -78,9 +78,6 @@ class BitMatrix
     BitMatrix tile(std::size_t row0, std::size_t col0,
                    std::size_t tile_rows, std::size_t tile_cols) const;
 
-    /** Append the rows of `other` (same column count) below this matrix. */
-    void appendRows(const BitMatrix& other);
-
     /** Fill with Bernoulli(p) bits. */
     void randomize(Rng& rng, double density);
 
@@ -126,22 +123,6 @@ struct TileConfig
 
     bool operator==(const TileConfig&) const = default;
 };
-
-/**
- * Iterate all (row0, col0) tile origins of an M x K spike matrix for a
- * given tile config, row-major over K then M, and invoke `fn(tile)` on
- * the cropped tile. Convenience used by the sparsity analyses.
- */
-template <typename Fn>
-void
-forEachTile(const BitMatrix& matrix, const TileConfig& tile, Fn&& fn)
-{
-    for (std::size_t r = 0; r < matrix.rows(); r += tile.m) {
-        for (std::size_t c = 0; c < matrix.cols(); c += tile.k) {
-            fn(matrix.tile(r, c, tile.m, tile.k));
-        }
-    }
-}
 
 } // namespace prosperity
 

@@ -118,18 +118,19 @@ BitVector::fromString(const std::string& pattern)
     return v;
 }
 
-// The query ops below go through the dispatched SIMD table. Wide
-// vectors hand the kernels the whole padded stride — pad words are
-// zero, so popcount / subset / any results are unchanged and the
-// vector tiers never hit their scalar tail loops. Vectors narrower
-// than one stride pass the logical count instead: sweeping a full
-// 8-word stride for a 1-word row would be pure overhead on the
-// paper's 16-column tiles.
+// popcount() and isSubsetOf() go through the dispatched SIMD table.
+// Wide vectors hand the kernels the whole padded stride — pad words
+// are zero, so results are unchanged and the vector tiers never hit
+// their scalar tail loops. Vectors narrower than one stride pass the
+// logical count instead: sweeping a full 8-word stride for a 1-word
+// row would be pure overhead on the paper's 16-column tiles. any() and
+// signature() run the scalar word_kernels.h loops over the logical
+// words.
 
 bool
 BitVector::any() const
 {
-    return simdOps().anyWord(data(), queryLen());
+    return anyWord(data(), word_count_);
 }
 
 void
@@ -157,7 +158,7 @@ BitVector::signature() const
     // Logical count, not the stride: the signature's group mapping
     // depends on n (for one logical word it IS the word), so padding
     // would weaken the filter and change signature() values.
-    return simdOps().signatureWords(data(), word_count_);
+    return signatureWords(data(), word_count_);
 }
 
 std::size_t

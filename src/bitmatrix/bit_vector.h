@@ -8,10 +8,11 @@
  * number-of-ones), subset test (the TCAM match), XOR (the pruner's
  * sparsify step), and bit-scan-forward (the Processor's address decode).
  * The per-word loops live in bitmatrix/word_kernels.h (scalar
- * reference) and are executed through the runtime SIMD dispatch
- * (bitmatrix/simd_dispatch.h), so the tile front end
+ * reference). popcount() and isSubsetOf() run through the runtime SIMD
+ * dispatch (bitmatrix/simd_dispatch.h), so the tile front end
  * (core/tile_analysis.h) runs the same fused kernels — at whatever tier
- * the host supports — over raw word spans.
+ * the host supports — over raw word spans; any() and signature() call
+ * the scalar inlines.
  *
  * @par Word layout
  * Bit `pos` lives in `words()[pos / 64]` at bit `pos % 64` (little-endian
@@ -26,7 +27,7 @@
  * word count (== words().size()), `strideWords()` the padded one;
  * `paddedWords()` exposes the full stride. Pad words are always zero
  * (checked by the property tests), so handing the padded stride to
- * popcount / subset / any kernels cannot change their result.
+ * the popcount and subset kernels cannot change their result.
  *
  * Vectors of at most one stride (<= 512 bits) store their words inline
  * in the object — no heap allocation. Tile extraction
@@ -209,8 +210,8 @@ class BitVector
 
     /**
      * The whole padded stride, pad words included. Pad words are
-     * always zero; kernels that are popcount/subset/any-shaped may
-     * consume this span instead of words() to skip scalar tails.
+     * always zero; popcount- or subset-shaped kernels may consume this
+     * span instead of words() to skip scalar tails.
      */
     std::span<const std::uint64_t> paddedWords() const
     {

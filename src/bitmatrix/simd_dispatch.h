@@ -2,13 +2,13 @@
  * @file
  * Runtime-dispatched SIMD tiers for the word-level bit kernels.
  *
- * The simulator's innermost loops (bitmatrix/word_kernels.h) have one
- * scalar reference implementation and up to three vector
- * specializations (SSE2 / AVX2 / AVX-512), each compiled in its own
- * translation unit with that tier's `-m` flags so the rest of the
- * library stays portable baseline code. At startup the best tier the
- * CPU supports is selected once; every call after that goes through a
- * table of function pointers (`simdOps()`).
+ * The two word kernels on the timing path, popcount and subset test
+ * (bitmatrix/word_kernels.h), have one scalar reference implementation
+ * and up to three vector specializations (SSE2 / AVX2 / AVX-512), each
+ * compiled in its own translation unit with that tier's `-m` flags so
+ * the rest of the library stays portable baseline code. At startup the
+ * best tier the CPU supports is selected once; every call after that
+ * goes through a table of function pointers (`simdOps()`).
  *
  * @par Equivalence contract
  * Every tier computes bit-identical results to the scalar reference in
@@ -55,8 +55,8 @@ enum class SimdTier : int
  * read exactly `n` words (vector main loop plus scalar tail), so raw
  * arrays are legal inputs. Spans from BitVector/BitMatrix rows are
  * additionally padded to kRowStrideWords (bit_vector.h), which lets
- * callers hand whole padded strides to the popcount/subset/any kernels
- * and never exercise the scalar tail on the hot path.
+ * callers hand whole padded strides to both kernels and never exercise
+ * the scalar tail on the hot path.
  */
 struct SimdOps
 {
@@ -73,28 +73,6 @@ struct SimdOps
      */
     bool (*isSubsetOfWords)(const std::uint64_t* sub,
                             const std::uint64_t* super, std::size_t n);
-
-    /** Whether any of `n` words is non-zero. */
-    bool (*anyWord)(const std::uint64_t* words, std::size_t n);
-
-    /** Occupancy signature (see word_kernels.h signatureWords). */
-    std::uint64_t (*signatureWords)(const std::uint64_t* words,
-                                    std::size_t n);
-
-    /**
-     * Signature-prefilter scan over a contiguous array of candidate
-     * signatures: appends to `out` every index t in [0, n) with
-     * (sigs[t] & ~query_sig) == 0, ascending, and returns how many it
-     * wrote. `out` must have room for n entries; entries past the
-     * returned count are unspecified (the vector tiers compress-store
-     * survivors branchlessly). This is the reference Detector's inner
-     * loop (tests/reference/): one query row tested against every
-     * sorted candidate signature.
-     */
-    std::size_t (*signatureScanWords)(const std::uint64_t* sigs,
-                                      std::size_t n,
-                                      std::uint64_t query_sig,
-                                      std::uint32_t* out);
 };
 
 /**

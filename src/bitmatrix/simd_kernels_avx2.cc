@@ -7,9 +7,9 @@
  * enforces the equivalence.
  *
  * Popcounts use the Mula pshufb nibble-LUT with _mm256_sad_epu8
- * accumulation; the subset and any kernels consume one 64-byte cache
- * line (two 256-bit vectors) per early-exit check, so a failing word
- * costs at most one extra line of reads.
+ * accumulation; the subset test consumes one 64-byte cache line (two
+ * 256-bit vectors) per early-exit check, so a failing word costs at
+ * most one extra line of reads.
  */
 
 #if defined(__AVX2__)
@@ -19,7 +19,6 @@
 #include <bit>
 
 #include "bitmatrix/simd_tiers.h"
-#include "bitmatrix/word_kernels.h"
 
 namespace prosperity::detail {
 
@@ -103,136 +102,13 @@ isSubsetAvx2(const std::uint64_t* sub, const std::uint64_t* super,
     return true;
 }
 
-bool
-anyAvx2(const std::uint64_t* words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v = _mm256_or_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + i + 4)));
-        if (!_mm256_testz_si256(v, v))
-            return true;
-    }
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + i));
-        if (!_mm256_testz_si256(v, v))
-            return true;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            return true;
-    return false;
-}
-
-std::uint64_t
-signatureAvx2(const std::uint64_t* words, std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    if (n == 1)
-        return words[0];
-    if (n > 64)
-        return signatureWords(words, n); // grouped: scalar reference
-    // One signature bit per word: movemask of the per-lane zero test.
-    const __m256i zero = _mm256_setzero_si256();
-    std::uint64_t sig = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + i));
-        const __m256i is_zero = _mm256_cmpeq_epi64(v, zero);
-        const unsigned zero_mask = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(is_zero)));
-        sig |= static_cast<std::uint64_t>(~zero_mask & 0xfu) << i;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            sig |= 1ULL << i;
-    return sig;
-}
-
-/**
- * Byte shuffles compressing the dwords selected by a 4-bit lane mask
- * to the front of an XMM register (0x80 lanes shuffle in zeros).
- * Indexed by the movemask below; entry m moves dword i (bytes 4i ..
- * 4i+3) ahead of dword j when i < j and both bits are set.
- */
-alignas(16) const std::uint8_t kCompressDword[16][16] = {
-    {128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128},
-    {4, 5, 6, 7, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 4, 5, 6, 7, 128, 128, 128, 128, 128, 128, 128, 128},
-    {8, 9, 10, 11, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 8, 9, 10, 11, 128, 128, 128, 128, 128, 128, 128, 128},
-    {4, 5, 6, 7, 8, 9, 10, 11, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 128, 128, 128, 128},
-    {12, 13, 14, 15, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 12, 13, 14, 15, 128, 128, 128, 128, 128, 128, 128, 128},
-    {4, 5, 6, 7, 12, 13, 14, 15, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15, 128, 128, 128, 128},
-    {8, 9, 10, 11, 12, 13, 14, 15, 128, 128, 128, 128, 128, 128, 128, 128},
-    {0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 128, 128, 128, 128},
-    {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 128, 128, 128, 128},
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-};
-
-std::size_t
-signatureScanAvx2(const std::uint64_t* sigs, std::size_t n,
-                  std::uint64_t query_sig, std::uint32_t* out)
-{
-    const std::uint64_t not_query = ~query_sig;
-    const __m256i nq = _mm256_set1_epi64x(
-        static_cast<long long>(not_query));
-    const __m256i zero = _mm256_setzero_si256();
-    const __m128i lane_base = _mm_setr_epi32(0, 1, 2, 3);
-    std::size_t count = 0;
-    std::size_t t = 0;
-    // Branchless survivor extraction: real match masks are
-    // unpredictable (that is the point of the prefilter), so a
-    // data-dependent bit loop here mispredicts its way past any gain
-    // from the vector compare. Instead every iteration shuffles the
-    // matching lane indices to the front (16-entry dword-compress LUT)
-    // and stores 16 bytes unconditionally; count advances by
-    // popcount(mask), so losers are overwritten by the next batch.
-    // out[] therefore needs room for n entries (contract in
-    // word_kernels.h) but never sees an index past the scanned range:
-    // count <= t before each store, so the store ends by t + 4 <= n.
-    for (; t + 4 <= n; t += 4) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(sigs + t));
-        const __m256i bad = _mm256_and_si256(s, nq);
-        const __m256i ok = _mm256_cmpeq_epi64(bad, zero);
-        const unsigned mask = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(ok)));
-        const __m128i idx = _mm_add_epi32(
-            lane_base, _mm_set1_epi32(static_cast<int>(t)));
-        const __m128i packed = _mm_shuffle_epi8(
-            idx, _mm_load_si128(reinterpret_cast<const __m128i*>(
-                     kCompressDword[mask])));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + count),
-                         packed);
-        count += static_cast<unsigned>(std::popcount(mask));
-    }
-    for (; t < n; ++t)
-        if ((sigs[t] & not_query) == 0)
-            out[count++] = static_cast<std::uint32_t>(t);
-    return count;
-}
-
 } // namespace
 
 const SimdOps&
 simdOpsAvx2()
 {
-    static const SimdOps ops = {
-        SimdTier::kAvx2, "avx2",        popcountAvx2,
-        isSubsetAvx2,    anyAvx2,       signatureAvx2,
-        signatureScanAvx2,
-    };
+    static const SimdOps ops = {SimdTier::kAvx2, "avx2", popcountAvx2,
+                                isSubsetAvx2};
     return ops;
 }
 

@@ -3,8 +3,8 @@
  * AVX-512 tier: 512-bit (8-word) kernels. Requires F+BW+VL+DQ plus
  * VPOPCNTDQ (the dispatcher checks all five CPU bits and the OS zmm
  * state before selecting this tier), so popcounts are a single
- * vpopcntq per cache line and the subset / any / scan predicates come
- * straight out of mask registers. Exact-n safe and bit-identical to
+ * vpopcntq per cache line and the subset test comes straight out of a
+ * mask register. Exact-n safe and bit-identical to
  * the scalar reference (enforced by tests/test_simd_kernels.cc).
  */
 
@@ -17,7 +17,6 @@
 #include <bit>
 
 #include "bitmatrix/simd_tiers.h"
-#include "bitmatrix/word_kernels.h"
 
 namespace prosperity::detail {
 
@@ -57,85 +56,13 @@ isSubsetAvx512(const std::uint64_t* sub, const std::uint64_t* super,
     return true;
 }
 
-bool
-anyAvx512(const std::uint64_t* words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_loadu_si512(words + i);
-        if (_mm512_test_epi64_mask(v, v) != 0)
-            return true;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            return true;
-    return false;
-}
-
-std::uint64_t
-signatureAvx512(const std::uint64_t* words, std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    if (n == 1)
-        return words[0];
-    if (n > 64)
-        return signatureWords(words, n); // grouped: scalar reference
-    // One signature bit per word: the non-zero lane mask is the
-    // signature byte directly.
-    std::uint64_t sig = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_loadu_si512(words + i);
-        const std::uint64_t nonzero = _mm512_test_epi64_mask(v, v);
-        sig |= nonzero << i;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            sig |= 1ULL << i;
-    return sig;
-}
-
-std::size_t
-signatureScanAvx512(const std::uint64_t* sigs, std::size_t n,
-                    std::uint64_t query_sig, std::uint32_t* out)
-{
-    const std::uint64_t not_query = ~query_sig;
-    const __m512i nq = _mm512_set1_epi64(
-        static_cast<long long>(not_query));
-    const __m256i lane_base = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    std::size_t count = 0;
-    std::size_t t = 0;
-    for (; t + 8 <= n; t += 8) {
-        const __m512i s = _mm512_loadu_si512(sigs + t);
-        // testn: lanes where (s & nq) == 0 — the filter passes.
-        const __mmask8 mask = _mm512_testn_epi64_mask(s, nq);
-        // Branchless extraction: compress-store the matching lane
-        // indices (match masks are inherently unpredictable, so a bit
-        // loop here would stall on mispredicts). The masked store
-        // writes exactly popcount(mask) entries.
-        const __m256i idx = _mm256_add_epi32(
-            lane_base, _mm256_set1_epi32(static_cast<int>(t)));
-        _mm256_mask_compressstoreu_epi32(out + count, mask, idx);
-        count += static_cast<unsigned>(
-            std::popcount(static_cast<unsigned>(mask)));
-    }
-    for (; t < n; ++t)
-        if ((sigs[t] & not_query) == 0)
-            out[count++] = static_cast<std::uint32_t>(t);
-    return count;
-}
-
 } // namespace
 
 const SimdOps&
 simdOpsAvx512()
 {
-    static const SimdOps ops = {
-        SimdTier::kAvx512, "avx512",        popcountAvx512,
-        isSubsetAvx512,    anyAvx512,       signatureAvx512,
-        signatureScanAvx512,
-    };
+    static const SimdOps ops = {SimdTier::kAvx512, "avx512", popcountAvx512,
+                                isSubsetAvx512};
     return ops;
 }
 

@@ -25,35 +25,13 @@ isSubsetScalar(const std::uint64_t* sub, const std::uint64_t* super,
     return isSubsetOfWords(sub, super, n);
 }
 
-bool
-anyScalar(const std::uint64_t* words, std::size_t n)
-{
-    return anyWord(words, n);
-}
-
-std::uint64_t
-signatureScalar(const std::uint64_t* words, std::size_t n)
-{
-    return signatureWords(words, n);
-}
-
-std::size_t
-signatureScanScalar(const std::uint64_t* sigs, std::size_t n,
-                    std::uint64_t query_sig, std::uint32_t* out)
-{
-    return signatureScanWords(sigs, n, query_sig, out);
-}
-
 } // namespace
 
 const SimdOps&
 simdOpsScalar()
 {
-    static const SimdOps ops = {
-        SimdTier::kScalar, "scalar",        popcountScalar,
-        isSubsetScalar,    anyScalar,       signatureScalar,
-        signatureScanScalar,
-    };
+    static const SimdOps ops = {SimdTier::kScalar, "scalar", popcountScalar,
+                                isSubsetScalar};
     return ops;
 }
 

@@ -14,18 +14,19 @@
  * its single masked-write path (see BitVector::storeWord), so spans
  * obtained from `BitVector::words()` are always safe inputs.
  *
- * These functions are the *scalar reference tier*: the runtime SIMD
- * dispatch (bitmatrix/simd_dispatch.h) exposes the same operations as
+ * popcountWords and isSubsetOfWords are the *scalar reference tier*:
+ * the runtime SIMD dispatch (bitmatrix/simd_dispatch.h) exposes them as
  * function pointers with SSE2/AVX2/AVX-512 specializations that must
  * be bit-identical to these loops on every input — the differential
  * suite in tests/test_simd_kernels.cc enforces it. Hot paths call the
  * dispatched table; these inlines remain the semantic ground truth.
+ * The other kernels have no vector tiers: BitVector::any() and
+ * signature() and the reference Detector call these inlines directly.
  */
 
 #ifndef PROSPERITY_BITMATRIX_WORD_KERNELS_H
 #define PROSPERITY_BITMATRIX_WORD_KERNELS_H
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -52,7 +53,7 @@ popcountWords(const std::uint64_t* words, std::size_t n)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(words[i]));
+        count += popcount64(words[i]);
     return count;
 }
 
@@ -115,16 +116,10 @@ signatureWords(const std::uint64_t* words, std::size_t n)
  * Signature-prefilter scan: append to `out` every index t in [0, n)
  * whose candidate signature passes the subset prefilter against
  * `query_sig` — (sigs[t] & ~query_sig) == 0 — in ascending order, and
- * return the number written. This is the reference Detector's candidate
- * sweep (tests/reference/detector.cc) hoisted over a contiguous array
- * so the SIMD tiers can test several candidates per instruction.
- *
- * Contract: `out` must have room for n entries, and entries past the
- * returned count are unspecified — the vector tiers extract survivors
- * branchlessly (compress stores), scribbling up to one vector of
- * losers past the live prefix before the next batch overwrites them.
- * Match masks are inherently unpredictable, so a per-bit extraction
- * loop would mispredict away the gain of the vector compare.
+ * return the number written. `out` must have room for n entries. This
+ * is the reference Detector's candidate sweep
+ * (tests/reference/detector.cc) over its contiguous array of sorted
+ * candidate signatures; the timing path's TileAnalysis does not use it.
  */
 inline std::size_t
 signatureScanWords(const std::uint64_t* sigs, std::size_t n,

@@ -38,9 +38,10 @@ ProsperityAccelerator::simulateSpikingGemm(const GemmShape& shape,
                                            const SpikeOperand& spikes,
                                            EnergyModel& energy)
 {
-    last_ = ppu_.runGemm(shape, spikes.matrix(), &energy);
-    noteDramBytes(last_.dram_bytes);
-    return last_.cycles;
+    const PpuLayerResult result =
+        ppu_.runGemm(shape, spikes.matrix(), &energy);
+    noteDramBytes(result.dram_bytes);
+    return result.cycles;
 }
 
 void

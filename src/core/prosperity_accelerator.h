@@ -29,9 +29,6 @@ class ProsperityAccelerator : public Accelerator
     double areaMm2() const override;
     Tech tech() const override { return config_.tech; }
 
-    /** Last layer's detailed result (inspection/testing). */
-    const PpuLayerResult& lastResult() const { return last_; }
-
     const ProsperityConfig& config() const { return config_; }
     const Ppu::Options& options() const { return ppu_.options(); }
 
@@ -44,7 +41,6 @@ class ProsperityAccelerator : public Accelerator
 
     ProsperityConfig config_;
     Ppu ppu_;
-    PpuLayerResult last_;
 };
 
 } // namespace prosperity

@@ -95,8 +95,6 @@ class TilePipeline
     {
     }
 
-    SparsityMode sparsityMode() const { return sparsity_; }
-
     /** Process one cropped tile and return its schedule/activity. */
     TileStats process(const BitMatrix& tile) const;
 

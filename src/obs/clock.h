@@ -41,8 +41,6 @@ class Stopwatch
 
     void restart() { start_ns_ = monotonicNanos(); }
 
-    std::uint64_t startNanos() const { return start_ns_; }
-
   private:
     std::uint64_t start_ns_;
 };

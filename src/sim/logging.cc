@@ -1,19 +1,15 @@
 #include "logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace prosperity {
 
 namespace {
 
-std::atomic<bool> g_verbose{true};
-
 const char*
 levelName(LogLevel level)
 {
     switch (level) {
-      case LogLevel::kInform: return "info";
       case LogLevel::kWarn: return "warn";
       case LogLevel::kPanic: return "panic";
     }
@@ -21,18 +17,6 @@ levelName(LogLevel level)
 }
 
 } // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
-}
 
 namespace detail {
 

@@ -4,8 +4,8 @@
  *
  * panic() reports an internal invariant violation that indicates a
  * simulator bug; user errors (bad configuration, invalid arguments) are
- * typed exceptions thrown at parse time instead. warn()/inform() report
- * conditions without stopping the simulation.
+ * typed exceptions thrown at parse time instead. warn() reports a
+ * condition without stopping the simulation.
  */
 
 #ifndef PROSPERITY_SIM_LOGGING_H
@@ -19,7 +19,6 @@ namespace prosperity {
 
 /** Severity of a log message. */
 enum class LogLevel {
-    kInform,
     kWarn,
     kPanic,
 };
@@ -45,10 +44,6 @@ concat(Args&&... args)
 
 } // namespace detail
 
-/** Whether inform() messages are printed (default true). */
-void setVerbose(bool verbose);
-bool verbose();
-
 /**
  * Report an internal invariant violation (a simulator bug). Aborts so a
  * core dump / debugger can capture the state.
@@ -69,16 +64,6 @@ warn(Args&&... args)
 {
     detail::emit(LogLevel::kWarn,
                  detail::concat(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. Suppressed when verbose is off. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    if (verbose())
-        detail::emit(LogLevel::kInform,
-                     detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace prosperity

@@ -93,7 +93,6 @@ class FsNeuron
     double decode(const BitVector& train) const;
 
     std::size_t timeSteps() const { return time_steps_; }
-    std::size_t maxSpikes() const { return max_spikes_; }
 
   private:
     std::size_t time_steps_;

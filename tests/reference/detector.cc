@@ -20,8 +20,9 @@ Detector::detect(const BitMatrix& tile) const
         return result;
 
     // Per-row word spans, popcounts and one-word occupancy signatures.
-    // All kernel calls below go through the dispatched SIMD table. Wide
-    // rows are swept over their whole padded stride (zero pad, so no
+    // Popcounts and subset tests go through the dispatched SIMD table;
+    // the signature scan is the scalar word_kernels.h loop. Wide rows
+    // are swept over their whole padded stride (zero pad, so no
     // scalar tails); rows narrower than a stride use the logical count
     // — the paper's 16-column tiles are one word per row and must not
     // pay for an 8-word sweep.
@@ -67,15 +68,14 @@ Detector::detect(const BitMatrix& tile) const
     }
 
     // Signatures gathered in sorted order: the per-query prefilter then
-    // scans one contiguous array with the vectorized signatureScanWords
-    // kernel (4 candidates per compare on AVX2, 8 on AVX-512) instead
-    // of chasing order[] indirections word by word.
+    // scans one contiguous array with signatureScanWords instead of
+    // chasing order[] indirections word by word.
     std::vector<std::uint64_t> sig_sorted(order.size());
     for (std::size_t t = 0; t < order.size(); ++t)
         sig_sorted[t] = sig[order[t]];
     std::vector<std::uint32_t> survivors(order.size());
 
-    // TCAM search per query row: vectorized signature prefilter over
+    // TCAM search per query row: signature prefilter over
     // the sorted candidates, then the fused early-exit word comparison
     // on the few survivors. For single-word rows (every k<=64 tile,
     // including the paper's 256x16 ones) the signature IS the row, so
@@ -90,7 +90,7 @@ Detector::detect(const BitMatrix& tile) const
         const std::uint64_t* words_i = row_words[i];
         BitVector& mask = result.subset_mask[i];
         const std::size_t end = bucket_end[pc_i];
-        const std::size_t kept = ops.signatureScanWords(
+        const std::size_t kept = signatureScanWords(
             sig_sorted.data(), end, sig[i], survivors.data());
         if (signature_is_exact) {
             for (std::size_t s = 0; s < kept; ++s) {

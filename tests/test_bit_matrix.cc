@@ -83,31 +83,21 @@ TEST(BitMatrix, TilePreservesBitsAcrossWordBoundaries)
             EXPECT_EQ(t.test(r, c), m.test(10 + r, 60 + c));
 }
 
-TEST(BitMatrix, ForEachTileCoversEveryBitOnce)
+TEST(BitMatrix, CroppedTilesCoverEveryBitOnce)
 {
     Rng rng(9);
     BitMatrix m(70, 45);
     m.randomize(rng, 0.4);
-    TileConfig tile;
-    tile.m = 32;
-    tile.k = 16;
     std::size_t bits = 0;
     std::size_t tiles = 0;
-    forEachTile(m, tile, [&](const BitMatrix& t) {
-        bits += t.popcount();
-        ++tiles;
-    });
+    for (std::size_t r = 0; r < m.rows(); r += 32) {
+        for (std::size_t c = 0; c < m.cols(); c += 16) {
+            bits += m.tile(r, c, 32, 16).popcount();
+            ++tiles;
+        }
+    }
     EXPECT_EQ(bits, m.popcount());
     EXPECT_EQ(tiles, 3u * 3u); // ceil(70/32) x ceil(45/16)
-}
-
-TEST(BitMatrix, AppendRowsConcatenates)
-{
-    BitMatrix a = BitMatrix::fromStrings({"10", "01"});
-    const BitMatrix b = BitMatrix::fromStrings({"11"});
-    a.appendRows(b);
-    EXPECT_EQ(a.rows(), 3u);
-    EXPECT_EQ(a.row(2).toString(), "11");
 }
 
 TEST(GemmShape, DenseOps)

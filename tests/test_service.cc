@@ -3,7 +3,8 @@
  * Tests for the SimulationService JSON API over real loopback HTTP:
  * submit/poll/fetch round trips, campaign reports byte-identical to
  * the offline CampaignRunner, concurrent duplicate submits deduped to
- * one simulation, structured key-path errors for malformed requests,
+ * one simulation, one rendered report served to concurrent keep-alive
+ * clients, structured key-path errors for malformed requests,
  * bounded admission, disk-warm restarts that re-run nothing, and the
  * tracing routes (trace-id header round trip, span coverage of the
  * whole submit → simulate → store pipeline, opt-in gating).
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -177,10 +179,35 @@ TEST_F(ServiceTest, FinishedReportIsRenderedOnceAndServedVerbatim)
     HttpClient http = client();
     const std::string id = submitAndWait(http, "/v1/runs", kRunBody);
 
-    // The first fetch renders the report; later fetches serve the same
-    // bytes, and those bytes are the offline render.
-    const HttpResponse first = http.get("/v1/reports/" + id);
+    // Four keep-alive clients fetch the finished report at once, so the
+    // first render races with concurrent fetches of the same record.
+    // Every body any of them sees is the first one's.
+    constexpr int kClients = 4;
+    constexpr int kFetches = 3;
+    std::vector<std::vector<HttpResponse>> fetched(kClients);
+    std::latch ready(kClients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+        threads.emplace_back([&, c] {
+            HttpClient concurrent(server_->port());
+            ready.arrive_and_wait();
+            for (int i = 0; i < kFetches; ++i)
+                fetched[c].push_back(concurrent.get("/v1/reports/" + id));
+        });
+    for (std::thread& thread : threads)
+        thread.join();
+    const HttpResponse first = fetched[0][0];
     ASSERT_EQ(first.status, 200) << first.body;
+    for (int c = 0; c < kClients; ++c)
+        for (int i = 0; i < kFetches; ++i) {
+            EXPECT_EQ(fetched[c][i].status, 200)
+                << "client " << c << " fetch " << i;
+            EXPECT_EQ(fetched[c][i].body, first.body)
+                << "client " << c << " fetch " << i;
+        }
+
+    // The rendered bytes are the offline render, and later fetches on
+    // another connection serve them verbatim.
     SimulationEngine offline;
     const RunResult expected = offline.run(
         simulationJobFromJson(json::Value::parse(kRunBody), "test"));

@@ -119,72 +119,6 @@ TEST_P(SimdKernels, SubsetMatchesScalarReference)
     }
 }
 
-TEST_P(SimdKernels, AnyMatchesScalarReference)
-{
-    const SimdOps& ops = simdOps();
-    for (const std::size_t n : kWidths) {
-        std::vector<std::uint64_t> words(n, 0);
-        EXPECT_FALSE(n > 0 && ops.anyWord(words.data(), n))
-            << "tier " << tier() << " n=" << n << " all-zero";
-        // One bit in each word position, alone, must be seen.
-        for (std::size_t at = 0; at < n; ++at) {
-            words.assign(n, 0);
-            words[at] = 1ULL << (at % 64);
-            EXPECT_TRUE(ops.anyWord(words.data(), n))
-                << "tier " << tier() << " n=" << n << " bit in word "
-                << at;
-        }
-    }
-}
-
-TEST_P(SimdKernels, SignatureMatchesScalarReference)
-{
-    Rng rng(104);
-    const SimdOps& ops = simdOps();
-    for (const std::size_t n : kWidths) {
-        for (const double density : {0.0, 0.05, 0.5, 1.0}) {
-            const auto words = randomWords(rng, n, density);
-            EXPECT_EQ(ops.signatureWords(words.data(), n),
-                      signatureWords(words.data(), n))
-                << "tier " << tier() << " n=" << n
-                << " density=" << density;
-        }
-    }
-}
-
-TEST_P(SimdKernels, SignatureScanMatchesScalarReference)
-{
-    Rng rng(105);
-    const SimdOps& ops = simdOps();
-    for (const std::size_t n : kWidths) {
-        for (const double density : {0.0, 0.3, 0.9}) {
-            const auto sigs = randomWords(rng, n, density);
-            const std::uint64_t query = rng.next() | rng.next();
-            // One slot of slack past the contract's n-entry buffer:
-            // the sentinel at out[n] must survive even the vector
-            // tiers' branchless compress stores (which may scribble
-            // within out[0, n) past the returned count, but never
-            // beyond n).
-            std::vector<std::uint32_t> got(n + 1, 0xdeadbeef);
-            std::vector<std::uint32_t> want(n + 1, 0xdeadbeef);
-            const std::size_t ngot =
-                ops.signatureScanWords(sigs.data(), n, query, got.data());
-            const std::size_t nwant =
-                signatureScanWords(sigs.data(), n, query, want.data());
-            ASSERT_EQ(ngot, nwant)
-                << "tier " << tier() << " n=" << n
-                << " density=" << density;
-            for (std::size_t i = 0; i < nwant; ++i)
-                ASSERT_EQ(got[i], want[i])
-                    << "tier " << tier() << " n=" << n
-                    << " survivor index " << i;
-            EXPECT_EQ(got[n], 0xdeadbeefu)
-                << "tier " << tier() << " n=" << n
-                << " wrote past the n-entry buffer";
-        }
-    }
-}
-
 TEST_P(SimdKernels, AllZeroAndAllOneExtremes)
 {
     const SimdOps& ops = simdOps();
@@ -203,9 +137,6 @@ TEST_P(SimdKernels, AllZeroAndAllOneExtremes)
             EXPECT_FALSE(ops.isSubsetOfWords(ones.data(), zeros.data(), n))
                 << "tier " << tier() << " n=" << n;
         }
-        EXPECT_EQ(ops.signatureWords(ones.data(), n),
-                  signatureWords(ones.data(), n))
-            << "tier " << tier() << " n=" << n;
     }
 }
 
