@@ -5,7 +5,8 @@
  *
  *   prosperity_cli list [models|datasets|accelerators|simd]
  *       Show the registered models, datasets and accelerators (all
- *       three axes are open, string-keyed registries) plus the active
+ *       three axes are open, string-keyed registries; each design
+ *       with its PEs and area at default params) plus the active
  *       and available SIMD kernel tiers.
  *   prosperity_cli run <model> <dataset> [accelerator] [--csv]
  *       End-to-end simulation; default accelerator "all" compares the
@@ -26,7 +27,9 @@
  *       campaigns directory). Streams per-job progress, prints the
  *       derived speedup / energy-efficiency tables, and optionally
  *       writes the structured JSON / CSV report. Workloads may
- *       reference JSON models by "file:models/<name>.json".
+ *       reference JSON models by "file:models/<name>.json". When a
+ *       <name>.reference.json file sits next to the spec, a
+ *       "Reproduced vs paper" table follows the derived tables.
  *       Specs with a "sampling" block run adaptively: every cell
  *       draws seeds until its metrics' confidence intervals are
  *       within the plan's eps (docs/CAMPAIGNS.md). --seeds N widens
@@ -84,6 +87,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -93,6 +97,7 @@
 #include "bitmatrix/simd_dispatch.h"
 #include "analysis/density.h"
 #include "analysis/export.h"
+#include "analysis/reference.h"
 #include "obs/trace.h"
 #include "serve/http.h"
 #include "serve/result_store.h"
@@ -237,9 +242,13 @@ cmdList(const std::string& section)
         for (const std::string& name : accels.names())
             std::cout << ' ' << name;
         std::cout << '\n';
-        for (const std::string& name : accels.names())
-            std::cout << "  " << name << ": "
-                      << accels.description(name) << '\n';
+        for (const std::string& name : accels.names()) {
+            // PEs and area of the design built with default params.
+            const auto design = accels.create(name, AcceleratorParams{});
+            std::cout << "  " << name << " (" << design->numPes()
+                      << " PEs, " << Table::num(design->areaMm2(), 3)
+                      << " mm^2): " << accels.description(name) << '\n';
+        }
     }
     if (all || section == "simd") {
         std::cout << "simd: active "
@@ -571,6 +580,7 @@ cmdCampaign(int argc, char** argv)
         return cmdCampaignProgress(spec_path, port);
 
     CampaignSpec spec;
+    std::vector<PaperReference> references;
     try {
         // A bare name ("smoke") resolves against the checked-in
         // campaigns directory; anything with a path or extension is
@@ -578,8 +588,14 @@ cmdCampaign(int argc, char** argv)
         const bool bare =
             spec_path.find('/') == std::string::npos &&
             spec_path.find(".json") == std::string::npos;
-        spec = bare ? loadNamedCampaign(spec_path)
-                    : CampaignSpec::load(spec_path);
+        if (bare)
+            spec_path = defaultCampaignDir() + "/" + spec_path + ".json";
+        spec = CampaignSpec::load(spec_path);
+        // The paper's numbers for this campaign, when it has any:
+        // validated now so a bad file fails before any simulation.
+        const std::string reference_path = referencePathFor(spec_path);
+        if (std::filesystem::exists(reference_path))
+            references = loadReferences(reference_path, spec);
     } catch (const std::exception& e) {
         std::cerr << e.what() << '\n';
         return 2;
@@ -718,6 +734,10 @@ cmdCampaign(int argc, char** argv)
                 sampling.addRow(std::move(row));
             }
             sampling.print(std::cout);
+        }
+        if (!references.empty()) {
+            std::cout << '\n';
+            referenceTable(references, report).print(std::cout);
         }
     }
 

@@ -536,24 +536,6 @@ CampaignReport::cell(std::size_t accelerator_index,
     return nullptr;
 }
 
-const RunResult*
-CampaignReport::find(const std::string& accelerator_label,
-                     const std::string& workload_name,
-                     std::size_t option_index) const
-{
-    for (const CampaignCell& c : cells) {
-        if (c.option_index != option_index)
-            continue;
-        if (spec.accelerators[c.accelerator_index].label !=
-            accelerator_label)
-            continue;
-        if (spec.workloads[c.workload_index].name() != workload_name)
-            continue;
-        return &c.result;
-    }
-    return nullptr;
-}
-
 namespace {
 
 DerivedTable

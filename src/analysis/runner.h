@@ -104,7 +104,8 @@ LayerRequest layerRequestFor(const LayerSpec& layer,
 RunResult runWorkload(Accelerator& accel, const Workload& workload,
                       const RunOptions& options = {});
 
-/** Geometric mean helper for the Fig. 8 summary columns. */
+/** Geometric mean of positive values (0.0 when empty); the paper's
+ *  averages are geomeans over workloads. */
 double geometricMean(const std::vector<double>& values);
 
 } // namespace prosperity

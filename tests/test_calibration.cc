@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/density.h"
+#include "analysis/reference.h"
 #include "analysis/runner.h"
 #include "baselines/eyeriss.h"
 #include "baselines/mint.h"
@@ -53,26 +54,54 @@ class TableIv : public ::testing::Test
 
 std::vector<RunResult>* TableIv::results_ = nullptr;
 
+/**
+ * The paper's Table IV values of `metric`, one per design in results_
+ * order, read from campaigns/table4.reference.json (whose spec lists
+ * the designs in that same order).
+ */
+std::vector<PaperReference>
+tableIvAnchors(const std::string& metric)
+{
+    const CampaignSpec spec = loadNamedCampaign("table4");
+    std::vector<PaperReference> anchors(spec.accelerators.size());
+    std::size_t found = 0;
+    for (const PaperReference& ref : loadReferences(
+             referencePathFor(defaultCampaignDir() + "/table4.json"),
+             spec)) {
+        if (ref.metric != metric)
+            continue;
+        for (std::size_t i = 0; i < spec.accelerators.size(); ++i)
+            if (spec.accelerators[i].label == ref.of) {
+                anchors[i] = ref;
+                ++found;
+            }
+    }
+    EXPECT_EQ(found, spec.accelerators.size()) << metric;
+    return anchors;
+}
+
 TEST_F(TableIv, ThroughputAnchors)
 {
-    // Paper GOP/s: 29.40, 33.63, 41.37, 62.07, 190.44, 390.10.
-    const double paper[] = {29.40, 33.63, 41.37, 62.07, 190.44, 390.10};
-    const double tolerance[] = {0.10, 0.10, 0.10, 0.10, 0.15, 0.20};
+    const std::vector<PaperReference> anchors = tableIvAnchors("gops");
+    ASSERT_EQ(anchors.size(), results_->size());
     for (std::size_t i = 0; i < results_->size(); ++i) {
+        ASSERT_TRUE(anchors[i].tolerance) << anchors[i].of;
         const double measured = (*results_)[i].gops();
-        EXPECT_NEAR(measured / paper[i], 1.0, tolerance[i])
+        EXPECT_NEAR(measured / anchors[i].paper, 1.0,
+                    *anchors[i].tolerance)
             << (*results_)[i].accelerator;
     }
 }
 
 TEST_F(TableIv, EnergyEfficiencyAnchors)
 {
-    // Paper GOP/J: 16.67, 49.70, 34.15, 75.61, 142.98, 299.80.
-    const double paper[] = {16.67, 49.70, 34.15, 75.61, 142.98, 299.80};
-    const double tolerance[] = {0.10, 0.10, 0.10, 0.10, 0.15, 0.20};
+    const std::vector<PaperReference> anchors = tableIvAnchors("gopj");
+    ASSERT_EQ(anchors.size(), results_->size());
     for (std::size_t i = 0; i < results_->size(); ++i) {
+        ASSERT_TRUE(anchors[i].tolerance) << anchors[i].of;
         const double measured = (*results_)[i].gopj();
-        EXPECT_NEAR(measured / paper[i], 1.0, tolerance[i])
+        EXPECT_NEAR(measured / anchors[i].paper, 1.0,
+                    *anchors[i].tolerance)
             << (*results_)[i].accelerator;
     }
 }

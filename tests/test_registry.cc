@@ -141,6 +141,19 @@ TEST(Registry, LoasWeightDensityParameterReachesTheDesign)
     EXPECT_DOUBLE_EQ(loas->weightDensity(), 0.04);
 }
 
+TEST(Registry, LoasWeightDensityOutsideUnitIntervalIsRejected)
+{
+    // A typed error, not the constructor's assertion abort; NaN too.
+    for (const char* value : {"1.5", "0", "-0.25", "nan"})
+        EXPECT_THROW(AcceleratorRegistry::instance().create(
+                         "loas", AcceleratorParams{{"weight_density",
+                                                    value}}),
+                     std::invalid_argument)
+            << value;
+    EXPECT_NO_THROW(AcceleratorRegistry::instance().create(
+        "loas", AcceleratorParams{{"weight_density", "1"}}));
+}
+
 TEST(Registry, DuplicateRegistrationIsRejected)
 {
     EXPECT_FALSE(AcceleratorRegistry::instance().add(

@@ -435,6 +435,37 @@ TEST_F(ServiceTest, OutOfRangeProfileIs400AndTheDaemonSurvives)
     EXPECT_EQ(http.get("/v1/stats").status, 200);
 }
 
+TEST_F(ServiceTest, OutOfRangeLoasWeightDensityFailsAndTheDaemonSurvives)
+{
+    startService();
+    HttpClient http = client();
+    // Accelerator params are checked when the engine builds the
+    // design, so the run is admitted and then fails with a typed
+    // error instead of an assertion abort on the worker.
+    const HttpResponse submitted = http.post(
+        "/v1/runs",
+        R"({"accelerator": {"name": "loas",
+                            "params": {"weight_density": "1.5"}},
+            "workload": {"model": "LeNet5", "dataset": "MNIST"}})");
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    const std::string id =
+        json::Value::parse(submitted.body).at("id").asString();
+    json::Value job;
+    for (int i = 0; i < 600; ++i) {
+        job = json::Value::parse(http.get("/v1/jobs/" + id).body);
+        if (job.at("status").asString() == "failed")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(job.at("status").asString(), "failed");
+    EXPECT_NE(job.at("error").asString().find("weight_density"),
+              std::string::npos)
+        << job.at("error").asString();
+    // The daemon keeps serving, simulations included.
+    EXPECT_EQ(http.get("/v1/stats").status, 200);
+    submitAndWait(http, "/v1/runs", kRunBody);
+}
+
 TEST_F(ServiceTest, UnknownRouteAndIdAre404)
 {
     startService();

@@ -14,8 +14,8 @@ enforces them statically, as a tier-1 ctest and a CI gate:
 
   unordered-iteration  No std::unordered_map / std::unordered_set in
                        the serialization/report paths (util/json,
-                       analysis/{campaign,result_json,export},
-                       serve/service, stats/*): hash-bucket order is
+                       analysis/{campaign,reference,result_json,
+                       export}, serve/service, stats/*): hash-bucket order is
                        implementation-defined, and any iteration there
                        can reach output bytes. Ordered containers keep
                        goldens stable by construction.
@@ -76,6 +76,7 @@ from typing import Iterator, NamedTuple
 SERIALIZATION_PATHS = (
     "src/util/json.",
     "src/analysis/campaign.",
+    "src/analysis/reference.",
     "src/analysis/result_json.",
     "src/analysis/export.",
     "src/serve/service.",
